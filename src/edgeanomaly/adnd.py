@@ -547,14 +547,6 @@ class SamplerParams:
     def receiver_marginal(self) -> np.ndarray:
         return self.recv_weights @ self.topics[self.recv_atoms]
 
-    def edge_log_density(self, sender: int, receiver: int) -> float:
-        """Log density of one edge; sender and receiver are independent
-        given the parameters."""
-        return float(
-            np.log(self.sender_marginal()[sender])
-            + np.log(self.receiver_marginal()[receiver])
-        )
-
     def sequence_log_density(self, corpus: EdgeCorpus) -> float:
         """Joint log density of an edge sequence given the parameters.
 
@@ -631,9 +623,7 @@ def sample_edges(
     receivers = _draw_tokens(rng, topics, recv_atoms[recv_z])
 
     vocab = NodeVocab(f"n{i}" for i in range(num_nodes)).freeze()
-    corpus = EdgeCorpus(
-        [Edge(int(u), int(v)) for u, v in zip(senders, receivers)], vocab
-    )
+    corpus = EdgeCorpus(senders, receivers, vocab)
     if not return_params:
         return corpus
     params = SamplerParams(

@@ -10,6 +10,7 @@ seed; commands that need several random streams derive them from it.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import dataclass
 
@@ -245,7 +246,7 @@ def _cmd_score(args) -> int:
     model = adnd.load_model(args.model)
     pairs, _ = read_edge_records(args.edges)
     corpus = corpus_from_pairs(pairs, model.vocab)
-    scores = [conformal.nonconformity_score(model, edge) for edge in corpus.edges]
+    scores = [conformal.nonconformity_score(model, edge) for edge in corpus]
     _write_score_csv(args.out, pairs, "alpha", scores)
     print(f"score: wrote {len(scores)} rows to {args.out}")
     return 0
@@ -282,7 +283,7 @@ def _cmd_rhss(args) -> int:
     history = rhss.StreamHistory.from_corpus(train_corpus)
     test_pairs, _ = read_edge_records(args.test)
     test_corpus = corpus_from_pairs(test_pairs, train_corpus.vocab)
-    scores = [history.rhss_score(edge) for edge in test_corpus.edges]
+    scores = [history.rhss_score(edge) for edge in test_corpus]
     _write_score_csv(args.out, test_pairs, "rhss_score", scores)
     print(f"rhss: wrote {len(scores)} rows to {args.out}")
     return 0
@@ -292,10 +293,8 @@ _SCORE_COLUMNS = ("p_value", "rhss_score", "alpha", "score")
 
 
 def _cmd_eval(args) -> int:
-    import csv as _csv
-
     with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise EdgeCsvError(f"{args.scores}: missing header row")
         rows = list(reader)
@@ -368,10 +367,7 @@ def _cmd_synth(args) -> int:
     if args.anomalous < 0:
         raise UsageError("--anomalous must be nonnegative")
     corpus = adnd.sample_edges(cfg.hyper(), cfg.trunc(), args.nodes, args.edges, cfg.seed)
-    pairs = [
-        (corpus.vocab.labels[e.sender], corpus.vocab.labels[e.receiver])
-        for e in corpus.edges
-    ]
+    pairs = _label_pairs(corpus)
     if args.anomalous == 0:
         write_edge_csv(args.out, pairs)
         print(f"synth: wrote {len(pairs)} edges to {args.out}")
@@ -380,16 +376,21 @@ def _cmd_synth(args) -> int:
     anomalies = adnd.sample_edges(
         cfg.hyper(), cfg.trunc(), args.nodes, args.anomalous, anomaly_seed
     )
-    pairs += [
-        (anomalies.vocab.labels[e.sender], anomalies.vocab.labels[e.receiver])
-        for e in anomalies.edges
-    ]
+    pairs += _label_pairs(anomalies)
     labels = [False] * corpus.n + [True] * anomalies.n
     write_edge_csv(args.out, pairs, labels)
     print(
         f"synth: wrote {corpus.n} regular + {anomalies.n} anomalous edges to {args.out}"
     )
     return 0
+
+
+def _label_pairs(corpus) -> list[tuple[str, str]]:
+    labels = corpus.vocab.labels
+    return [
+        (labels[u], labels[v])
+        for u, v in zip(corpus.senders.tolist(), corpus.receivers.tolist())
+    ]
 
 
 def _cmd_fpr_sim(args) -> int:
@@ -457,13 +458,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (EdgeCsvError, adnd.ModelFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # EdgeCsvError, ModelFormatError included
         print(f"error: {err}", file=sys.stderr)
         return 2
 

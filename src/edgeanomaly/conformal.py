@@ -89,7 +89,7 @@ def nonconformity_score(model: FittedModel, edge: Edge) -> float:
 def calibration_scores(model: FittedModel, corpus: EdgeCorpus) -> CalibrationScores:
     """Score every calibration edge through the one scalar scoring path."""
     return CalibrationScores(
-        np.array([nonconformity_score(model, edge) for edge in corpus.edges])
+        np.array([nonconformity_score(model, edge) for edge in corpus])
     )
 
 
@@ -190,13 +190,8 @@ def tie_broken_rank(values, index: int, u_draws) -> int:
     return int(np.count_nonzero(moved <= moved[index]))
 
 
-def _positive_uniform(rng: np.random.Generator, size=None):
+def _positive_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws from the open interval (0, 1); redraw the measure-zero 0."""
-    if size is None:
-        u = rng.uniform()
-        while u == 0.0:
-            u = rng.uniform()
-        return u
     u = rng.uniform(size=size)
     while np.any(u == 0.0):
         u[u == 0.0] = rng.uniform(size=int(np.count_nonzero(u == 0.0)))
@@ -211,20 +206,12 @@ def detect(
     seed: int,
     orientation: str = "power-corrected",
 ) -> AnomalyVerdict:
-    """Score one edge, draw the smoothing uniform, and threshold at epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    _check_orientation(orientation)
-    score = nonconformity_score(model, edge)
-    u = _positive_uniform(np.random.default_rng(seed))
-    p_value = conformal_p_value(score, calib, u, orientation)
-    return AnomalyVerdict(
-        score=score,
-        p_value=p_value,
-        epsilon=epsilon,
-        is_anomalous=p_value <= epsilon,
-        u_draw=u,
-    )
+    """Score one edge, draw the smoothing uniform, and threshold at epsilon.
+
+    The same as detect_corpus over a corpus holding just this edge.
+    """
+    single = EdgeCorpus([edge.sender], [edge.receiver], model.vocab)
+    return detect_corpus(model, calib, single, epsilon, seed, orientation)[0]
 
 
 def detect_corpus(
@@ -239,7 +226,7 @@ def detect_corpus(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     _check_orientation(orientation)
-    scores = np.array([nonconformity_score(model, edge) for edge in corpus.edges])
+    scores = np.array([nonconformity_score(model, edge) for edge in corpus])
     u_draws = _positive_uniform(np.random.default_rng(seed), size=scores.size)
     p_values = conformal_p_values(scores, calib, u_draws, orientation)
     return [

@@ -10,7 +10,7 @@ import numpy as np
 
 from .adnd import HyperParams, TruncationLevels, fit, sample_edges
 from .conformal import calibration_scores, conformal_p_values, nonconformity_score, _positive_uniform
-from .graph_core import EdgeCorpus, format_float, split_train_calib
+from .graph_core import format_float, split_train_calib
 
 __all__ = [
     "LabeledScores",
@@ -196,15 +196,15 @@ def fpr_simulation(
         corpus = sample_edges(
             hyper, trunc, num_nodes, n_pool + n_test, sample_seed
         )
-        pool = EdgeCorpus(corpus.edges[:n_pool], corpus.vocab)
-        test = EdgeCorpus(corpus.edges[n_pool:], corpus.vocab)
+        pool = corpus.subset(slice(None, n_pool))
+        test = corpus.subset(slice(n_pool, None))
         train, calib = split_train_calib(pool, n_calib / n_pool, split_seed)
         model = fit(
             train, hyper, trunc, max_sweeps=max_sweeps, rel_tol=rel_tol, seed=fit_seed
         )
         calib_set = calibration_scores(model, calib)
         test_scores = np.array(
-            [nonconformity_score(model, edge) for edge in test.edges]
+            [nonconformity_score(model, edge) for edge in test]
         )
         u_draws = _positive_uniform(
             np.random.default_rng(u_seed), size=test_scores.size

@@ -108,33 +108,50 @@ class Edge:
 class EdgeCorpus:
     """Immutable ordered multiset of directed edges over a shared vocabulary.
 
-    Every endpoint index must be at most vocab.num_nodes: real nodes occupy
-    0..W-1 and the reserved unseen slot is W.
+    Edge i runs from senders[i] to receivers[i]; both are read-only int64
+    arrays of equal length. Every endpoint index must lie in
+    0..vocab.num_nodes: real nodes occupy 0..W-1 and the reserved unseen
+    slot is W. Iterating yields one Edge per position, in order.
     """
 
-    def __init__(self, edges, vocab: NodeVocab):
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self.vocab = vocab
+    def __init__(self, senders, receivers, vocab: NodeVocab):
+        senders = np.array(senders, dtype=np.int64)
+        receivers = np.array(receivers, dtype=np.int64)
+        if senders.ndim != 1 or senders.shape != receivers.shape:
+            raise ValueError(
+                f"senders and receivers must be equal-length vectors, "
+                f"got shapes {senders.shape} and {receivers.shape}"
+            )
+        negative = np.flatnonzero((senders < 0) | (receivers < 0))
+        if negative.size:
+            raise ValueError(
+                f"edge {negative[0]}: edge endpoints must be nonnegative indices"
+            )
         limit = vocab.num_nodes
-        for pos, edge in enumerate(self.edges):
-            if edge.sender > limit or edge.receiver > limit:
-                raise ValueError(
-                    f"edge {pos} endpoint out of range for vocabulary of size {limit}"
-                )
-        self.senders = np.array([e.sender for e in self.edges], dtype=np.int64)
-        self.receivers = np.array([e.receiver for e in self.edges], dtype=np.int64)
-        self.senders.flags.writeable = False
-        self.receivers.flags.writeable = False
+        beyond = np.flatnonzero((senders > limit) | (receivers > limit))
+        if beyond.size:
+            raise ValueError(
+                f"edge {beyond[0]} endpoint out of range for vocabulary of size {limit}"
+            )
+        senders.flags.writeable = False
+        receivers.flags.writeable = False
+        self.senders = senders
+        self.receivers = receivers
+        self.vocab = vocab
 
     @property
     def n(self) -> int:
-        return len(self.edges)
+        return int(self.senders.size)
 
     def subset(self, indices) -> "EdgeCorpus":
-        return EdgeCorpus((self.edges[i] for i in indices), self.vocab)
+        """The edges at `indices` (a slice or an index array), in that order."""
+        return EdgeCorpus(self.senders[indices], self.receivers[indices], self.vocab)
+
+    def __iter__(self):
+        return map(Edge, self.senders.tolist(), self.receivers.tolist())
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return self.n
 
     def __repr__(self) -> str:
         return f"EdgeCorpus({self.n} edges, {self.vocab.num_nodes} nodes)"
@@ -143,14 +160,17 @@ class EdgeCorpus:
 def corpus_from_pairs(pairs, vocab: NodeVocab | None = None) -> EdgeCorpus:
     """Build a corpus from (src, dst) label pairs.
 
-    Without a vocabulary, labels are interned in order of first appearance.
-    A frozen vocabulary maps unknown labels to its reserved unseen slot.
+    Without a vocabulary, labels are interned in order of first appearance,
+    the sender of each pair before its receiver. A frozen vocabulary maps
+    unknown labels to its reserved unseen slot.
     """
     if vocab is None:
         vocab = NodeVocab()
     lookup = vocab.resolve if vocab.frozen else vocab.intern
-    edges = [Edge(lookup(src), lookup(dst)) for src, dst in pairs]
-    return EdgeCorpus(edges, vocab)
+    tokens = np.fromiter(
+        (lookup(label) for src, dst in pairs for label in (src, dst)), dtype=np.int64
+    )
+    return EdgeCorpus(tokens[0::2], tokens[1::2], vocab)
 
 
 def split_train_calib(corpus: EdgeCorpus, calib_fraction: float, seed: int):

@@ -36,7 +36,7 @@ class StreamHistory:
     @classmethod
     def from_corpus(cls, corpus: EdgeCorpus) -> "StreamHistory":
         history = cls()
-        for edge in corpus.edges:
+        for edge in corpus:
             history.observe(edge)
         return history
 

@@ -36,7 +36,6 @@ from edgeanomaly.evaluation import (
     precision_recall_at_k,
     roc_points,
 )
-from edgeanomaly.graph_core import EdgeCorpus
 from edgeanomaly.rhss import StreamHistory
 
 HYPER = HyperParams()
@@ -217,7 +216,7 @@ def test_criterion_06_sampler_exchangeability():
     for seed in range(100):
         corpus, params = sample_edges(HYPER, TRUNC, 12, 10, seed, return_params=True)
         perm = np.random.default_rng(seed + 1).permutation(corpus.n)
-        permuted = EdgeCorpus([corpus.edges[j] for j in perm], corpus.vocab)
+        permuted = corpus.subset(perm)
         gap = abs(
             params.sequence_log_density(corpus)
             - params.sequence_log_density(permuted)
@@ -232,10 +231,10 @@ def test_criterion_07_detection_power():
     sample_seed, fit_seed, anom_seed, u_seed = np.random.SeedSequence(7).spawn(4)
     n_normal, n_anom = 240, 60
     corpus = sample_edges(HYPER, TRUNC, 30, 400 + 400 + n_normal, sample_seed)
-    train = EdgeCorpus(corpus.edges[:400], corpus.vocab)
-    calib = EdgeCorpus(corpus.edges[400:800], corpus.vocab)
+    train = corpus.subset(slice(None, 400))
+    calib = corpus.subset(slice(400, 800))
     anomalies = sample_edges(HYPER, TRUNC, 30, n_anom, anom_seed)
-    test_edges = list(corpus.edges[800:]) + list(anomalies.edges)
+    test_edges = list(corpus.subset(slice(800, None))) + list(anomalies)
     labels = np.array([False] * n_normal + [True] * n_anom)
 
     model = fit(train, HYPER, TRUNC, seed=fit_seed)
@@ -248,7 +247,7 @@ def test_criterion_07_detection_power():
 
     # The baseline sees everything the conformal pipeline saw before testing.
     history = StreamHistory.from_corpus(train)
-    for edge in calib.edges:
+    for edge in calib:
         history.observe(edge)
     baseline = np.array([history.rhss_score(e) for e in test_edges])
     auc_baseline = auc(roc_points(LabeledScores(baseline, labels)))

@@ -210,28 +210,39 @@ def pipeline():
     hyper = HyperParams()
     trunc = TruncationLevels(k_h=8, k_a=4, k_b=4)
     corpus = sample_edges(hyper, trunc, 12, 400, seed=51)
-    pool = EdgeCorpus(corpus.edges[:360], corpus.vocab)
+    pool = corpus.subset(slice(None, 360))
     train, calib_corpus = split_train_calib(pool, 0.5, seed=1)
     model = fit(train, hyper, trunc, seed=0)
     calib = calibration_scores(model, calib_corpus)
-    test = EdgeCorpus(corpus.edges[360:], corpus.vocab)
+    test = corpus.subset(slice(360, None))
     return model, calib, test
 
 
 class TestDetect:
     def test_verdict_fields_consistent(self, pipeline):
         model, calib, test = pipeline
-        verdict = detect(model, calib, test.edges[0], epsilon=0.3, seed=5)
-        assert verdict.score == nonconformity_score(model, test.edges[0])
+        edge = next(iter(test))
+        verdict = detect(model, calib, edge, epsilon=0.3, seed=5)
+        assert verdict.score == nonconformity_score(model, edge)
         assert 0.0 <= verdict.p_value <= 1.0
         assert 0.0 < verdict.u_draw < 1.0
         assert verdict.is_anomalous == (verdict.p_value <= 0.3)
 
     def test_deterministic_given_seed(self, pipeline):
         model, calib, test = pipeline
-        a = detect(model, calib, test.edges[1], epsilon=0.1, seed=9)
-        b = detect(model, calib, test.edges[1], epsilon=0.1, seed=9)
+        edge = list(test)[1]
+        a = detect(model, calib, edge, epsilon=0.1, seed=9)
+        b = detect(model, calib, edge, epsilon=0.1, seed=9)
         assert a == b
+
+    def test_detect_draws_the_seeds_first_uniform(self, pipeline):
+        model, calib, test = pipeline
+        for seed, edge in enumerate(test):
+            verdict = detect(model, calib, edge, epsilon=0.1, seed=seed)
+            u = np.random.default_rng(seed).uniform()
+            assert verdict.u_draw == u
+            score = nonconformity_score(model, edge)
+            assert verdict.p_value == conformal_p_value(score, calib, u)
 
     def test_epsilon_near_one_flags_everything(self, pipeline):
         model, calib, test = pipeline
@@ -242,14 +253,14 @@ class TestDetect:
     def test_bad_epsilon_raises(self, pipeline, eps):
         model, calib, test = pipeline
         with pytest.raises(ValueError):
-            detect(model, calib, test.edges[0], epsilon=eps, seed=0)
+            detect(model, calib, next(iter(test)), epsilon=eps, seed=0)
 
     def test_detect_corpus_matches_scalar_detect(self, pipeline):
         model, calib, test = pipeline
         verdicts = detect_corpus(model, calib, test, epsilon=0.2, seed=77)
         # same u stream: scalar path consumes one draw per call
-        u_draws = np.random.default_rng(77).uniform(size=len(test.edges))
-        for edge, verdict, u in zip(test.edges, verdicts, u_draws):
+        u_draws = np.random.default_rng(77).uniform(size=len(test))
+        for edge, verdict, u in zip(test, verdicts, u_draws):
             score = nonconformity_score(model, edge)
             assert verdict.p_value == conformal_p_value(score, calib, u)
 
@@ -263,7 +274,7 @@ class TestDetect:
 class TestNonconformityScore:
     def test_repeated_edge_scores_below_unseen_pairs(self):
         vocab = NodeVocab(["a", "b"])
-        corpus = EdgeCorpus([Edge(0, 0)] * 100, vocab)
+        corpus = EdgeCorpus([0] * 100, [0] * 100, vocab)
         model = fit(corpus, HyperParams(), TruncationLevels(k_h=4, k_a=2, k_b=2), seed=0)
         seen = nonconformity_score(model, Edge(0, 0))
         for u, v in ((0, 1), (1, 0), (1, 1), (2, 2), (1, 2)):

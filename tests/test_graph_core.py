@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeanomaly.graph_core import (
     Edge,
@@ -63,30 +65,67 @@ class TestEdgeCorpus:
     def test_rejects_negative_endpoints(self):
         with pytest.raises(ValueError):
             Edge(-1, 0)
+        with pytest.raises(ValueError, match="edge 1: edge endpoints must be nonnegative"):
+            EdgeCorpus([0, 1], [0, -1], NodeVocab(["a", "b"]))
 
     def test_rejects_out_of_range_endpoints(self):
         vocab = NodeVocab(["a", "b"])
-        with pytest.raises(ValueError):
-            EdgeCorpus([Edge(0, 3)], vocab)
+        with pytest.raises(ValueError, match="edge 1 endpoint out of range .* size 2"):
+            EdgeCorpus([0, 0, 3], [1, 3, 0], vocab)
+
+    def test_rejects_mismatched_lengths(self):
+        vocab = NodeVocab(["a", "b"])
+        with pytest.raises(ValueError, match="equal-length"):
+            EdgeCorpus([0, 1], [1], vocab)
 
     def test_unseen_slot_is_a_legal_endpoint(self):
         vocab = NodeVocab(["a", "b"]).freeze()
-        corpus = EdgeCorpus([Edge(0, 2), Edge(2, 1)], vocab)
+        corpus = EdgeCorpus([0, 2], [2, 1], vocab)
         assert corpus.n == 2
+
+    def test_empty_corpus(self):
+        corpus = EdgeCorpus([], [], NodeVocab())
+        assert (corpus.n, len(corpus), list(corpus)) == (0, 0, [])
+
+    def test_arrays_are_read_only_copies(self):
+        senders = np.array([0, 2, 1])
+        corpus = EdgeCorpus(senders, [1, 0, 1], NodeVocab(["a", "b", "c"]))
+        senders[0] = 1
+        assert corpus.senders.tolist() == [0, 2, 1]
+        assert corpus.senders.dtype == np.int64
+        with pytest.raises(ValueError):
+            corpus.receivers[0] = 2
 
     def test_token_arrays_match_edges(self):
         vocab = NodeVocab(["a", "b", "c"])
-        corpus = EdgeCorpus([Edge(0, 1), Edge(2, 0), Edge(1, 1)], vocab)
+        corpus = EdgeCorpus([0, 2, 1], [1, 0, 1], vocab)
         assert corpus.senders.tolist() == [0, 2, 1]
         assert corpus.receivers.tolist() == [1, 0, 1]
+        assert list(corpus) == [Edge(0, 1), Edge(2, 0), Edge(1, 1)]
+
+    def test_iteration_yields_edges_with_int_fields(self):
+        vocab = NodeVocab(["a", "b", "c"])
+        corpus = EdgeCorpus(np.array([0, 2, 1]), np.array([1, 0, 1]), vocab)
+        assert all(
+            type(e.sender) is int and type(e.receiver) is int for e in corpus
+        )
+
+    def test_subset_by_slice_and_index_array(self):
+        vocab = NodeVocab(["a", "b", "c"])
+        corpus = EdgeCorpus([0, 2, 1, 0], [1, 0, 1, 2], vocab)
+        head = corpus.subset(slice(None, 2))
+        assert list(head) == [Edge(0, 1), Edge(2, 0)]
+        picked = corpus.subset(np.array([3, 1]))
+        assert list(picked) == [Edge(0, 2), Edge(2, 0)]
+        assert head.vocab is vocab and picked.vocab is vocab
 
 
 class TestSplitTrainCalib:
     def _corpus(self, n):
         vocab = NodeVocab(["a", "b", "c"])
         rng = np.random.default_rng(7)
-        edges = [Edge(int(rng.integers(0, 3)), int(rng.integers(0, 3))) for _ in range(n)]
-        return EdgeCorpus(edges, vocab)
+        tokens = rng.integers(0, 3, size=(n, 2))
+        return EdgeCorpus(tokens[:, 0], tokens[:, 1], vocab)
 
     def test_sizes_726_half(self):
         train, calib = split_train_calib(self._corpus(726), 0.5, seed=0)
@@ -106,15 +145,15 @@ class TestSplitTrainCalib:
         corpus = self._corpus(50)
         a = split_train_calib(corpus, 0.4, seed=9)
         b = split_train_calib(corpus, 0.4, seed=9)
-        assert a[0].edges == b[0].edges
-        assert a[1].edges == b[1].edges
+        assert list(a[0]) == list(b[0])
+        assert list(a[1]) == list(b[1])
 
     def test_multiset_preserved(self):
         corpus = self._corpus(97)
         for seed in range(5):
             train, calib = split_train_calib(corpus, 0.37, seed=seed)
-            combined = Counter(train.edges) + Counter(calib.edges)
-            assert combined == Counter(corpus.edges)
+            combined = Counter(train) + Counter(calib)
+            assert combined == Counter(corpus)
 
     def test_shares_vocab(self):
         corpus = self._corpus(10)
@@ -141,8 +180,7 @@ class TestEdgeCsv:
         assert labels is None
         assert corpus.n == 3
         assert corpus.vocab.labels == ("a", "b", "c")
-        assert corpus.edges[0] == Edge(0, 1)
-        assert corpus.edges[2] == Edge(0, 1)
+        assert list(corpus) == [Edge(0, 1), Edge(1, 2), Edge(0, 1)]
 
     def test_round_trip_labeled(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -159,8 +197,7 @@ class TestEdgeCsv:
         write_edge_csv(path, [("a", "mallory"), ("mallory", "b")])
         vocab = NodeVocab(["a", "b", "c"]).freeze()
         corpus, _ = parse_edge_csv(path, vocab)
-        assert corpus.edges[0] == Edge(0, 3)
-        assert corpus.edges[1] == Edge(3, 1)
+        assert list(corpus) == [Edge(0, 3), Edge(3, 1)]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -213,3 +250,31 @@ class TestEdgeCsv:
         corpus = corpus_from_pairs([("m", "n"), ("n", "o")])
         assert corpus.vocab.labels == ("m", "n", "o")
         assert not corpus.vocab.frozen
+
+
+_LABELS = st.text(alphabet="abcde", min_size=1, max_size=2)
+
+
+class TestCorpusFromPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_LABELS, _LABELS), max_size=40),
+        known=st.lists(_LABELS, max_size=6),
+        frozen=st.booleans(),
+    )
+    def test_matches_interning_each_pair_in_turn(self, pairs, known, frozen):
+        # "zz" is never drawn, so it first appears as a receiver.
+        pairs = [("a", "zz")] + pairs
+        vocab = NodeVocab(known)
+        reference = NodeVocab(known)
+        if frozen:
+            vocab.freeze()
+            reference.freeze()
+        lookup = reference.resolve if frozen else reference.intern
+        expected = [(lookup(src), lookup(dst)) for src, dst in pairs]
+
+        corpus = corpus_from_pairs(pairs, vocab)
+        assert corpus.vocab is vocab
+        assert vocab.labels == reference.labels
+        assert corpus.senders.tolist() == [s for s, _ in expected]
+        assert corpus.receivers.tolist() == [r for _, r in expected]

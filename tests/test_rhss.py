@@ -39,7 +39,7 @@ class TestObserve:
 
     def test_from_corpus(self):
         vocab = NodeVocab(["a", "b"])
-        corpus = EdgeCorpus([Edge(0, 1), Edge(1, 0)], vocab)
+        corpus = EdgeCorpus([0, 1], [1, 0], vocab)
         history = StreamHistory.from_corpus(corpus)
         assert history.total_edges == 2
 
