@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, logsumexp, xlogy
+from scipy.special import betaln, digamma, gammaln, xlogy
 
 from .graph_core import Edge, EdgeCorpus, NodeVocab
 
@@ -239,7 +240,14 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Posterior summary used for scoring: mean topics and topic weights."""
+    """Posterior summary used for scoring: mean topics and topic weights.
+
+    topic_node has one row per shared topic and one column per node slot
+    (the last is the unseen-node slot); topic_weights has one entry per
+    topic. Both must be finite and nonnegative with rows summing to one.
+    The log arrays that scoring reads are computed on first use, cached,
+    and read-only like the parameters they come from.
+    """
 
     topic_node: np.ndarray
     topic_weights: np.ndarray
@@ -249,6 +257,21 @@ class FittedModel:
     diagnostics: FitDiagnostics = field(repr=False)
 
     def __post_init__(self):
+        shape = (self.trunc.k_h, self.vocab.num_nodes + 1)
+        if self.topic_node.shape != shape:
+            raise ValueError(
+                f"topic_node has shape {self.topic_node.shape}, expected {shape} "
+                "(one row per topic, one column per node slot)"
+            )
+        if self.topic_weights.shape != (self.trunc.k_h,):
+            raise ValueError(
+                f"topic_weights has shape {self.topic_weights.shape}, "
+                f"expected ({self.trunc.k_h},)"
+            )
+        for name in ("topic_node", "topic_weights"):
+            values = getattr(self, name)
+            if not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
+                raise ValueError(f"{name} entries must be finite and nonnegative")
         if np.max(np.abs(self.topic_node.sum(axis=1) - 1.0)) > 1e-9:
             raise ValueError("topic_node rows must sum to one")
         if abs(self.topic_weights.sum() - 1.0) > 1e-9:
@@ -259,6 +282,22 @@ class FittedModel:
     @property
     def num_nodes(self) -> int:
         return self.topic_node.shape[1] - 1
+
+    @cached_property
+    def twice_log_weights(self) -> np.ndarray:
+        """2 * log(topic_weights): each edge applies the weight once per endpoint."""
+        with np.errstate(divide="ignore"):
+            out = 2.0 * np.log(self.topic_weights)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def slot_log_topics(self) -> np.ndarray:
+        """log(topic_node) transposed: row s holds every topic's log mass at slot s."""
+        with np.errstate(divide="ignore"):
+            out = np.log(self.topic_node.T, order="C")
+        out.flags.writeable = False
+        return out
 
 
 def init_state(
@@ -506,21 +545,39 @@ def predictive_log_likelihood(model: FittedModel, edge: Edge) -> float:
 
     Computes log sum_i w_i * topic[i, sender] * w_i * topic[i, receiver]
     with the topic weight applied once per endpoint, via logsumexp, clamped
-    below at LOG_FLOOR so the result is always finite.
+    below at LOG_FLOOR so the result is always finite. Both endpoints are
+    scored by the same topics, so the score is symmetric: u -> v scores
+    exactly like v -> u, and edge direction does not enter it.
     """
     limit = model.num_nodes
     if not (0 <= edge.sender <= limit and 0 <= edge.receiver <= limit):
         raise ValueError(
             f"edge ({edge.sender}, {edge.receiver}) out of range for {limit} nodes"
         )
-    with np.errstate(divide="ignore"):
-        terms = (
-            2.0 * np.log(model.topic_weights)
-            + np.log(model.topic_node[:, edge.sender])
-            + np.log(model.topic_node[:, edge.receiver])
-        )
-        value = float(logsumexp(terms))
-    return max(value, LOG_FLOOR)
+    slots = model.slot_log_topics
+    terms = model.twice_log_weights + slots[edge.sender] + slots[edge.receiver]
+    return max(_logsumexp(terms), LOG_FLOOR)
+
+
+def _logsumexp(terms: np.ndarray) -> float:
+    """log(sum(exp(terms))) of a 1-D float vector, bit-identical to
+    scipy.special.logsumexp (scipy 1.17) for entries that are finite or -inf.
+
+    Follows scipy's steps without its array-API dispatch, which dominates
+    the cost on vectors of a few dozen entries: the maximal entries are
+    split out of the sum, the rest is shifted by the maximum, and the
+    result is log1p(rest / count) + log(count) + max. The numpy ufuncs are
+    kept throughout, since the math module's log1p can differ by one ULP.
+    """
+    top = terms.max()
+    if top == -np.inf:
+        return -np.inf
+    at_top = terms == top
+    count = np.float64(np.count_nonzero(at_top))
+    shifted = terms - top
+    shifted[at_top] = -np.inf
+    rest = np.exp(shifted).sum() / count
+    return float(np.log1p(rest) + np.log(count) + top)
 
 
 @dataclass(frozen=True)
@@ -672,7 +729,12 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    """Read back a model written by save_model, verifying the magic line."""
+    """Read back a model written by save_model, verifying the magic line.
+
+    A body that does not parse, or whose arrays FittedModel rejects (wrong
+    shape for the vocabulary, non-finite or negative entries), raises
+    ModelFormatError.
+    """
     with open(path, encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != MODEL_MAGIC:
@@ -693,13 +755,13 @@ def load_model(path) -> FittedModel:
             sweeps=int(diag["sweeps"]),
             converged=bool(diag["converged"]),
         )
+        return FittedModel(
+            topic_node=topic_node,
+            topic_weights=topic_weights,
+            vocab=vocab,
+            hyper=hyper,
+            trunc=trunc,
+            diagnostics=diagnostics,
+        )
     except (KeyError, TypeError, ValueError) as err:
         raise ModelFormatError(f"{path}: malformed model body: {err}") from err
-    return FittedModel(
-        topic_node=topic_node,
-        topic_weights=topic_weights,
-        vocab=vocab,
-        hyper=hyper,
-        trunc=trunc,
-        diagnostics=diagnostics,
-    )

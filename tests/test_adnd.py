@@ -1,8 +1,12 @@
 """Model math: sticks, updates, bound, fitting, scoring, sampling, storage."""
 
+import json
+
 import numpy as np
 import pytest
-from scipy.special import digamma
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma, logsumexp
 
 from edgeanomaly import adnd
 from edgeanomaly.adnd import (
@@ -384,6 +388,39 @@ class TestPredictiveLogLikelihood:
                 model, Edge(v, u)
             )
 
+    def test_equals_scipy_logsumexp_on_every_slot_pair(self):
+        # the expression scoring used before the log arrays were cached
+        def reference(model, u, v):
+            with np.errstate(divide="ignore"):
+                terms = (
+                    2.0 * np.log(model.topic_weights)
+                    + np.log(model.topic_node[:, u])
+                    + np.log(model.topic_node[:, v])
+                )
+            return max(float(logsumexp(terms)), adnd.LOG_FLOOR)
+
+        fitted = fit(small_corpus(seed=41), HYPER, SMALL_TRUNC, seed=0)
+        sparse = toy_model(
+            [[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.25, 0.5]], [0.75, 0.25], num_real_nodes=3
+        )
+        for model in (fitted, sparse):
+            for u in range(model.num_nodes + 1):
+                for v in range(model.num_nodes + 1):
+                    assert predictive_log_likelihood(model, Edge(u, v)) == reference(model, u, v)
+
+    def test_cached_log_arrays(self):
+        model = fit(small_corpus(seed=43), HYPER, SMALL_TRUNC, seed=0)
+        assert "slot_log_topics" not in vars(model)
+        assert "twice_log_weights" not in vars(model)
+        predictive_log_likelihood(model, Edge(0, 1))
+        assert model.slot_log_topics is model.slot_log_topics
+        np.testing.assert_array_equal(model.twice_log_weights, 2.0 * np.log(model.topic_weights))
+        np.testing.assert_array_equal(model.slot_log_topics, np.log(model.topic_node).T)
+        assert model.slot_log_topics.flags.c_contiguous
+        for cached in (model.twice_log_weights, model.slot_log_topics):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
     def test_repeated_calls_bitwise_identical(self):
         corpus = small_corpus(seed=29)
         model = fit(corpus, HYPER, SMALL_TRUNC, seed=0)
@@ -392,6 +429,83 @@ class TestPredictiveLogLikelihood:
         assert all(
             predictive_log_likelihood(model, edge) == first for _ in range(5)
         )
+
+
+@st.composite
+def _log_terms(draw):
+    """Vectors of finite and -inf entries, some with tied maxima, some all -inf."""
+    entries = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-800.0, max_value=0.0),
+        st.just(-np.inf),
+    )
+    terms = np.array(draw(st.lists(entries, min_size=1, max_size=64)), dtype=float)
+    ties = draw(st.lists(st.integers(0, terms.size - 1), max_size=4))
+    terms[ties] = terms.max()
+    if draw(st.integers(0, 7)) == 0:
+        terms[:] = -np.inf
+    return terms
+
+
+class TestLogsumexpKernel:
+    @settings(max_examples=500, deadline=None)
+    @given(terms=_log_terms())
+    def test_bit_identical_to_scipy(self, terms):
+        before = terms.copy()
+        with np.errstate(over="ignore"):  # shifting by a huge maximum overflows in both
+            expected = float(logsumexp(terms))
+            assert adnd._logsumexp(terms) == expected
+        np.testing.assert_array_equal(terms, before)
+
+
+class TestFittedModelValidation:
+    TOPICS = [[0.5, 0.25, 0.25], [0.0, 0.5, 0.5]]
+    WEIGHTS = [0.75, 0.25]
+
+    def test_rejects_topic_rows_not_matching_truncation(self):
+        with pytest.raises(ValueError, match="topic_node has shape"):
+            toy_model(self.TOPICS + [[1.0, 0.0, 0.0]], self.WEIGHTS, num_real_nodes=2)
+
+    def test_rejects_topic_columns_not_matching_vocabulary(self):
+        with pytest.raises(ValueError, match="topic_node has shape"):
+            toy_model(self.TOPICS, self.WEIGHTS, num_real_nodes=3)
+
+    def test_rejects_one_dimensional_topics(self):
+        with pytest.raises(ValueError, match="topic_node has shape"):
+            toy_model([0.5, 0.5], self.WEIGHTS, num_real_nodes=1)
+
+    def test_rejects_weights_not_matching_truncation(self):
+        model = toy_model(self.TOPICS, self.WEIGHTS, num_real_nodes=2)
+        with pytest.raises(ValueError, match="topic_weights has shape"):
+            FittedModel(
+                topic_node=np.array(self.TOPICS),
+                topic_weights=np.array([[0.75, 0.25]]),
+                vocab=model.vocab,
+                hyper=model.hyper,
+                trunc=model.trunc,
+                diagnostics=model.diagnostics,
+            )
+
+    def test_rejects_nan_topic_entry(self):
+        # a NaN row passes the row-sum check, since comparisons with NaN are False
+        with pytest.raises(ValueError, match="topic_node entries"):
+            toy_model([[0.5, 0.5, np.nan], [0.0, 0.5, 0.5]], self.WEIGHTS, num_real_nodes=2)
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="topic_weights entries"):
+            toy_model(self.TOPICS, [np.nan, 1.0], num_real_nodes=2)
+
+    def test_rejects_infinite_topic_entry(self):
+        with pytest.raises(ValueError, match="topic_node entries"):
+            toy_model([[np.inf, 0.5, 0.5], [0.0, 0.5, 0.5]], self.WEIGHTS, num_real_nodes=2)
+
+    def test_rejects_negative_topic_entry(self):
+        with pytest.raises(ValueError, match="topic_node entries"):
+            toy_model([[1.5, -0.5, 0.0], [0.0, 0.5, 0.5]], self.WEIGHTS, num_real_nodes=2)
+
+    def test_rejects_negative_weight(self):
+        with pytest.raises(ValueError, match="topic_weights entries"):
+            toy_model(self.TOPICS, [1.25, -0.25], num_real_nodes=2)
 
 
 class TestSampler:
@@ -495,3 +609,24 @@ class TestSerialization:
             assert predictive_log_likelihood(loaded, edge) == predictive_log_likelihood(
                 model, edge
             )
+
+    def _saved_payload(self, tmp_path):
+        model = fit(small_corpus(seed=47), HYPER, SMALL_TRUNC, seed=0)
+        path = tmp_path / "model.adnd"
+        save_model(model, path)
+        magic, body = path.read_text().split("\n", 1)
+        return path, magic, json.loads(body)
+
+    def test_vocabulary_not_matching_columns_rejected(self, tmp_path):
+        path, magic, payload = self._saved_payload(tmp_path)
+        payload["vocab_labels"] = payload["vocab_labels"][:-1]
+        path.write_text(magic + "\n" + json.dumps(payload) + "\n")
+        with pytest.raises(ModelFormatError, match="topic_node has shape"):
+            load_model(path)
+
+    def test_nan_entry_rejected(self, tmp_path):
+        path, magic, payload = self._saved_payload(tmp_path)
+        payload["topic_node"][0][0] = float("nan").hex()
+        path.write_text(magic + "\n" + json.dumps(payload) + "\n")
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)

@@ -3,7 +3,10 @@
 perfbench/tracing.py wraps functions at the module attributes through which
 the package calls them. A refactor that renames or moves one of them leaves
 the traced run without that layer's figures, so this test reads the target
-lists from tracing.py and resolves each entry against the package.
+lists from tracing.py and resolves each entry against the package. A
+refactor that keeps the names but stops calling through them (say, a
+batched scorer beside the per-edge one) leaves the figures empty instead,
+so the traced commands are also run here and their figures checked.
 """
 
 import importlib.util
@@ -11,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from edgeanomaly import adnd, cli
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +38,49 @@ def test_trace_target_resolves(owner, attr, span):
     obj, name = found
     assert callable(getattr(obj, name))
 
+
+def _rows(path) -> int:
+    return len(path.read_text().splitlines()) - 1  # minus the header
+
+
+def test_traced_commands_report_per_edge_figures(tmp_path):
+    p = {name: str(tmp_path / name) for name in (
+        "train.csv", "calib.csv", "test.csv", "model.adnd",
+        "verdicts.csv", "alphas.csv", "baseline.csv")}
+    for argv in (
+        ["synth", "--nodes", "12", "--edges", "150", "--seed", "1", "--out", p["train.csv"]],
+        ["synth", "--nodes", "12", "--edges", "40", "--seed", "2", "--out", p["calib.csv"]],
+        ["synth", "--nodes", "15", "--edges", "30", "--anomalous", "6", "--seed", "3",
+         "--out", p["test.csv"]],
+        ["fit", "--train", p["train.csv"], "--model", p["model.adnd"], "--kh", "4",
+         "--ka", "2", "--kb", "2", "--max-sweeps", "5"],
+    ):
+        assert cli.main(argv) == 0
+
+    tracer = tracing.Tracer()
+    installed = tracing.Installed(tracer, "edgeanomaly", -adnd.LOG_FLOOR)
+    try:
+        assert installed.absent == []
+        for command, argv in (
+            ("detect", ["detect", "--model", p["model.adnd"], "--calib", p["calib.csv"],
+                        "--test", p["test.csv"], "--out", p["verdicts.csv"]]),
+            ("score", ["score", "--model", p["model.adnd"], "--edges", p["test.csv"],
+                       "--out", p["alphas.csv"]]),
+            ("rhss", ["rhss", "--train", p["train.csv"], "--test", p["test.csv"],
+                      "--out", p["baseline.csv"]]),
+        ):
+            span = tracer.begin("cli." + command)  # the root span run.py opens
+            try:
+                assert cli.main(argv) == 0
+            finally:
+                tracer.end(span)
+    finally:
+        installed.remove()
+
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("conformal.score_us_per_edge", "conformal.unseen_share",
+                 "conformal.floor_share", "rhss.score_us_per_edge"):
+        assert name in metrics, f"traced run reports no {name}"
+    calib_rows = _rows(tmp_path / "calib.csv")
+    test_rows = _rows(tmp_path / "test.csv")
+    assert metrics["conformal.edges_scored"] == calib_rows + 2 * test_rows
