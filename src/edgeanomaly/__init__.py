@@ -29,8 +29,8 @@ from .adnd import (
     update_document_level,
 )
 from .conformal import (
-    AnomalyVerdict,
     CalibrationScores,
+    Verdicts,
     calibration_scores,
     conformal_p_value,
     detect,
@@ -40,7 +40,6 @@ from .conformal import (
     tie_broken_rank,
 )
 from .evaluation import (
-    CurvePoint,
     FprPoint,
     LabeledScores,
     auc,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class RunConfig:
     kh: int = 50
     ka: int = 15
     kb: int = 15
-    calib_fraction: float = 0.5
     epsilon: float = 0.05
     orientation: str = "power-corrected"
     seed: int = 0
@@ -60,8 +59,6 @@ class RunConfig:
             self.trunc()
         except ValueError as err:
             raise UsageError(str(err)) from err
-        if not 0.0 < self.calib_fraction < 1.0:
-            raise UsageError("calib_fraction must lie strictly between 0 and 1")
         if not 0.0 < self.epsilon < 1.0:
             raise UsageError("epsilon must lie strictly between 0 and 1")
         if self.orientation not in conformal.ORIENTATIONS:
@@ -81,9 +78,7 @@ class RunConfig:
         return adnd.TruncationLevels(k_h=self.kh, k_a=self.ka, k_b=self.kb)
 
 
-_CONFIG_CASTS = {"eta": float, "gamma": float, "tau": float, "kh": int, "ka": int,
-                 "kb": int, "calib_fraction": float, "epsilon": float,
-                 "orientation": str, "seed": int, "max_sweeps": int, "rel_tol": float}
+_CONFIG_CASTS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict:
@@ -264,14 +259,13 @@ def _cmd_detect(args) -> int:
     )
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("src,dst,alpha,p_value,anomalous\n")
-        for (src, dst), verdict in zip(test_pairs, verdicts):
-            fh.write(
-                f"{src},{dst},{format_float(verdict.score)},"
-                f"{format_float(verdict.p_value)},{int(verdict.is_anomalous)}\n"
-            )
-    flagged = sum(v.is_anomalous for v in verdicts)
+        rows = zip(test_pairs, verdicts.scores.tolist(), verdicts.p_values.tolist(),
+                   verdicts.flagged.tolist())
+        for (src, dst), score, p_value, flag in rows:
+            fh.write(f"{src},{dst},{format_float(score)},{format_float(p_value)},{int(flag)}\n")
+    flagged = int(verdicts.flagged.sum())
     print(
-        f"detect: {flagged} of {len(verdicts)} edges flagged at "
+        f"detect: {flagged} of {len(test_pairs)} edges flagged at "
         f"epsilon={cfg.epsilon:g} ({cfg.orientation})"
     )
     return 0
@@ -329,18 +323,20 @@ def _cmd_eval(args) -> int:
         )
 
     labeled = evaluation.LabeledScores(scores, labels)
-    pr_rows = evaluation.precision_recall_at_k(labeled)
-    roc = evaluation.roc_points(labeled)
-    area = evaluation.auc(roc)
+    _, precision, recall = evaluation.precision_recall_at_k(labeled)
+    fpr, tpr = evaluation.roc_points(labeled)
+    area = evaluation.auc(fpr, tpr)
 
     evaluation.write_curve_csv(
         f"{args.out_prefix}_pr.csv",
-        [evaluation.CurvePoint(rec, prec) for _, prec, rec in pr_rows],
+        recall,
+        precision,
         "precision-recall (x=recall, y=precision)",
     )
     evaluation.write_curve_csv(
         f"{args.out_prefix}_roc.csv",
-        roc,
+        fpr,
+        tpr,
         "roc (x=false positive rate, y=true positive rate)",
     )
     with open(f"{args.out_prefix}_auc.txt", "w", encoding="utf-8") as fh:

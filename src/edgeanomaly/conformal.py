@@ -25,7 +25,7 @@ from .graph_core import Edge, EdgeCorpus
 __all__ = [
     "ORIENTATIONS",
     "CalibrationScores",
-    "AnomalyVerdict",
+    "Verdicts",
     "nonconformity_score",
     "calibration_scores",
     "conformal_p_value",
@@ -64,21 +64,36 @@ class CalibrationScores:
         return int(self.scores.size)
 
 
-@dataclass(frozen=True)
-class AnomalyVerdict:
-    """One detection outcome, keeping the smoothing draw for audit."""
+@dataclass(frozen=True, eq=False)
+class Verdicts:
+    """Detection outcomes of a run of test edges, one entry per edge.
 
-    score: float
-    p_value: float
+    The three vectors are read-only and share one length; u_draws keeps the
+    smoothing draws for audit. An edge is flagged when its p-value is at most
+    epsilon, and `flagged` derives that from the stored fields.
+    """
+
+    scores: np.ndarray
+    p_values: np.ndarray
+    u_draws: np.ndarray
     epsilon: float
-    is_anomalous: bool
-    u_draw: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p_value must lie in [0, 1]")
-        if self.is_anomalous != (self.p_value <= self.epsilon):
-            raise ValueError("is_anomalous must equal p_value <= epsilon")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must lie strictly between 0 and 1")
+        names = ("scores", "p_values", "u_draws")
+        arrays = [np.array(getattr(self, name), dtype=float) for name in names]
+        if any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
+            raise ValueError("scores, p_values and u_draws must be equal-length vectors")
+        if not np.all((arrays[1] >= 0.0) & (arrays[1] <= 1.0)):
+            raise ValueError("p_values must lie in [0, 1]")
+        for name, a in zip(names, arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @property
+    def flagged(self) -> np.ndarray:
+        return self.p_values <= self.epsilon
 
 
 def nonconformity_score(model: FittedModel, edge: Edge) -> float:
@@ -123,6 +138,20 @@ def conformal_p_value(
     return (strict + u * ties) / (scores.size + 1)
 
 
+def _counts(scores: np.ndarray, values: np.ndarray, orientation: str):
+    """(strict, ties) counts of scores against each value, by binary search.
+
+    strict counts scores above the value for "power-corrected" and below it
+    for "paper"; ties counts scores equal to it.
+    """
+    _check_orientation(orientation)
+    ordered = np.sort(scores)
+    left = np.searchsorted(ordered, values, side="left")
+    right = np.searchsorted(ordered, values, side="right")
+    strict = left if orientation == "paper" else scores.size - right
+    return strict, right - left
+
+
 def conformal_p_values(
     test_scores, calib, u_draws, orientation: str = "power-corrected"
 ) -> np.ndarray:
@@ -138,13 +167,8 @@ def conformal_p_values(
         raise ValueError("u_draws must match test_scores in shape")
     if np.any(u_draws <= 0.0) or np.any(u_draws >= 1.0):
         raise ValueError("u draws must lie strictly between 0 and 1")
-    _check_orientation(orientation)
-    ordered = np.sort(scores)
-    left = np.searchsorted(ordered, test_scores, side="left")
-    right = np.searchsorted(ordered, test_scores, side="right")
-    ties = (right - left) + 1
-    strict = left if orientation == "paper" else scores.size - right
-    return (strict + u_draws * ties) / (scores.size + 1)
+    strict, ties = _counts(scores, test_scores, orientation)
+    return (strict + u_draws * (ties + 1)) / (scores.size + 1)
 
 
 def full_conformal_p_values(
@@ -153,22 +177,18 @@ def full_conformal_p_values(
     """Smoothed p-value of every score against the whole set it sits in.
 
     Each entry is compared with all entries including itself, so the tie
-    count is at least one and the divisor is the set size.
+    count is at least one and the divisor is the set size. Counts come from
+    binary search on the sorted scores, so NaN scores are rejected.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size < 2:
         raise ValueError("need at least two scores")
+    if np.any(np.isnan(scores)):
+        raise ValueError("scores must not be NaN")
     u_draws = np.asarray(u_draws, dtype=float)
     if u_draws.shape != scores.shape:
         raise ValueError("u_draws must match scores in shape")
-    _check_orientation(orientation)
-    column = scores[:, None]
-    row = scores[None, :]
-    ties = (column == row).sum(axis=1)
-    if orientation == "paper":
-        strict = (row < column).sum(axis=1)
-    else:
-        strict = (row > column).sum(axis=1)
+    strict, ties = _counts(scores, scores, orientation)
     return (strict + u_draws * ties) / scores.size
 
 
@@ -205,13 +225,14 @@ def detect(
     epsilon: float,
     seed: int,
     orientation: str = "power-corrected",
-) -> AnomalyVerdict:
+) -> Verdicts:
     """Score one edge, draw the smoothing uniform, and threshold at epsilon.
 
-    The same as detect_corpus over a corpus holding just this edge.
+    The same as detect_corpus over a corpus holding just this edge, so the
+    result holds one entry.
     """
     single = EdgeCorpus([edge.sender], [edge.receiver], model.vocab)
-    return detect_corpus(model, calib, single, epsilon, seed, orientation)[0]
+    return detect_corpus(model, calib, single, epsilon, seed, orientation)
 
 
 def detect_corpus(
@@ -221,21 +242,10 @@ def detect_corpus(
     epsilon: float,
     seed: int,
     orientation: str = "power-corrected",
-) -> list[AnomalyVerdict]:
-    """Detect over a whole corpus with one smoothing draw per edge."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    _check_orientation(orientation)
+) -> Verdicts:
+    """Detect over a whole corpus with one smoothing draw per edge, in
+    corpus order."""
     scores = np.array([nonconformity_score(model, edge) for edge in corpus])
     u_draws = _positive_uniform(np.random.default_rng(seed), size=scores.size)
     p_values = conformal_p_values(scores, calib, u_draws, orientation)
-    return [
-        AnomalyVerdict(
-            score=float(score),
-            p_value=float(p_value),
-            epsilon=epsilon,
-            is_anomalous=bool(p_value <= epsilon),
-            u_draw=float(u),
-        )
-        for score, p_value, u in zip(scores, p_values, u_draws)
-    ]
+    return Verdicts(scores, p_values, u_draws, epsilon)

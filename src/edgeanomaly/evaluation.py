@@ -10,11 +10,10 @@ import numpy as np
 
 from .adnd import HyperParams, TruncationLevels, fit, sample_edges
 from .conformal import calibration_scores, conformal_p_values, nonconformity_score, _positive_uniform
-from .graph_core import format_float, split_train_calib
+from .graph_core import _split_by_count, format_float
 
 __all__ = [
     "LabeledScores",
-    "CurvePoint",
     "FprPoint",
     "precision_recall_at_k",
     "roc_points",
@@ -55,18 +54,6 @@ class LabeledScores:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """One (x, y) point of a curve over the unit square."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError("curve points must lie in the unit square")
-
-
-@dataclass(frozen=True)
 class FprPoint:
     """Empirical false positive rate at one threshold epsilon."""
 
@@ -80,8 +67,9 @@ def precision_recall_at_k(labeled: LabeledScores):
     """Precision and recall of the k lowest scores, for every k.
 
     Scores sort ascending with a stable sort, so tied scores keep input
-    order. Returns [(k, precision, recall)] for k = 1..n. Requires at least
-    one ground-truth anomaly, because recall divides by the anomaly count.
+    order. Returns the arrays (ks, precision, recall) for k = 1..n. Requires
+    at least one ground-truth anomaly, because recall divides by the anomaly
+    count.
     """
     total_anomalies = labeled.num_anomalies
     if total_anomalies == 0:
@@ -89,14 +77,11 @@ def precision_recall_at_k(labeled: LabeledScores):
     order = np.argsort(labeled.scores, kind="stable")
     hits = np.cumsum(labeled.labels[order])
     ks = np.arange(1, labeled.n + 1)
-    return [
-        (int(k), float(h / k), float(h / total_anomalies))
-        for k, h in zip(ks, hits)
-    ]
+    return ks, hits / ks, hits / total_anomalies
 
 
-def roc_points(labeled: LabeledScores) -> list[CurvePoint]:
-    """ROC curve of the rule "flag when score <= threshold".
+def roc_points(labeled: LabeledScores):
+    """ROC curve of the rule "flag when score <= threshold", as (fpr, tpr).
 
     The threshold sweeps the distinct score values in ascending order; an
     anchor at (0, 0) is prepended and the final point is always (1, 1).
@@ -109,28 +94,31 @@ def roc_points(labeled: LabeledScores) -> list[CurvePoint]:
     order = np.argsort(labeled.scores, kind="stable")
     sorted_scores = labeled.scores[order]
     sorted_labels = labeled.labels[order]
-    cum_pos = np.cumsum(sorted_labels)
-    cum_neg = np.cumsum(~sorted_labels)
     # Last index of each run of equal scores marks one threshold.
     boundaries = np.append(np.nonzero(np.diff(sorted_scores))[0], labeled.n - 1)
-    points = [CurvePoint(0.0, 0.0)]
-    for idx in boundaries:
-        points.append(
-            CurvePoint(float(cum_neg[idx] / negatives), float(cum_pos[idx] / positives))
-        )
-    return points
+    cum_pos = np.cumsum(sorted_labels)[boundaries]
+    cum_neg = np.cumsum(~sorted_labels)[boundaries]
+    return (
+        np.concatenate(([0.0], cum_neg / negatives)),
+        np.concatenate(([0.0], cum_pos / positives)),
+    )
 
 
-def auc(points) -> float:
-    """Trapezoid area under a curve sorted by x.
+def auc(xs, ys) -> float:
+    """Trapezoid area under the curve through the points (xs[i], ys[i]).
 
-    With ROC input this equals the probability that a random anomaly scores
-    below a random normal entry, counting ties as one half.
+    The points must lie in the unit square and be sorted by x. With ROC
+    input this equals the probability that a random anomaly scores below a
+    random normal entry, counting ties as one half.
     """
-    xs = np.array([p.x for p in points], dtype=float)
-    ys = np.array([p.y for p in points], dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError("curve x and y must be equal-length vectors")
     if xs.size < 2:
         raise ValueError("need at least two curve points")
+    if not np.all((xs >= 0.0) & (xs <= 1.0) & (ys >= 0.0) & (ys <= 1.0)):
+        raise ValueError("curve points must lie in the unit square")
     if np.any(np.diff(xs) < 0.0):
         raise ValueError("curve points must be sorted by x")
     return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
@@ -198,7 +186,7 @@ def fpr_simulation(
         )
         pool = corpus.subset(slice(None, n_pool))
         test = corpus.subset(slice(n_pool, None))
-        train, calib = split_train_calib(pool, n_calib / n_pool, split_seed)
+        train, calib = _split_by_count(pool, n_calib, split_seed)
         model = fit(
             train, hyper, trunc, max_sweeps=max_sweeps, rel_tol=rel_tol, seed=fit_seed
         )
@@ -222,14 +210,13 @@ def fpr_simulation(
     return points
 
 
-def write_curve_csv(path, points, curve_name: str) -> None:
-    """Write curve points as x,y rows under a `# curve_name` comment line."""
+def write_curve_csv(path, xs, ys, curve_name: str) -> None:
+    """Write a curve as x,y rows under a `# curve_name` comment line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {curve_name}\n")
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
-        for point in points:
-            writer.writerow([format_float(point.x), format_float(point.y)])
+        writer.writerows([format_float(x), format_float(y)] for x, y in zip(xs, ys))
 
 
 def write_fpr_csv(path, points) -> None:

@@ -186,12 +186,13 @@ def split_train_calib(corpus: EdgeCorpus, calib_fraction: float, seed: int):
         raise ValueError("corpus too small to split")
     if not 0.0 < calib_fraction < 1.0:
         raise ValueError("calib_fraction must lie strictly between 0 and 1")
-    n_calib = int(math.floor(n * calib_fraction))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    calib_idx = np.sort(perm[:n_calib])
-    train_idx = np.sort(perm[n_calib:])
-    return corpus.subset(train_idx), corpus.subset(calib_idx)
+    return _split_by_count(corpus, int(math.floor(n * calib_fraction)), seed)
+
+
+def _split_by_count(corpus: EdgeCorpus, n_calib: int, seed):
+    """(train, calib) with exactly n_calib calibration edges, drawn by seed."""
+    perm = np.random.default_rng(seed).permutation(corpus.n)
+    return corpus.subset(np.sort(perm[n_calib:])), corpus.subset(np.sort(perm[:n_calib]))
 
 
 def read_edge_records(path):

@@ -243,14 +243,14 @@ def test_criterion_07_detection_power():
     u_draws = np.random.default_rng(u_seed).uniform(size=scores.size)
     u_draws[u_draws == 0.0] = 0.5
     p_values = conformal_p_values(scores, calib_set, u_draws, "power-corrected")
-    auc_conformal = auc(roc_points(LabeledScores(p_values, labels)))
+    auc_conformal = auc(*roc_points(LabeledScores(p_values, labels)))
 
     # The baseline sees everything the conformal pipeline saw before testing.
     history = StreamHistory.from_corpus(train)
     for edge in calib:
         history.observe(edge)
     baseline = np.array([history.rhss_score(e) for e in test_edges])
-    auc_baseline = auc(roc_points(LabeledScores(baseline, labels)))
+    auc_baseline = auc(*roc_points(LabeledScores(baseline, labels)))
 
     sigma_null = np.sqrt((n_anom + n_normal + 1) / (12.0 * n_anom * n_normal))
     floor = 0.5 + 3.0 * sigma_null
@@ -340,7 +340,7 @@ def test_criterion_10_metric_oracles():
         labels = rng.uniform(size=n) < 0.5
         if labels.all() or not labels.any():
             labels[0] = ~labels[0]
-        got = auc(roc_points(LabeledScores(scores, labels)))
+        got = auc(*roc_points(LabeledScores(scores, labels)))
         want = mann_whitney_auc(scores, labels)
         if abs(got - want) > 1e-12:
             failures.append(f"auc {got} vs {want}")
@@ -354,7 +354,7 @@ def test_criterion_10_metric_oracles():
         order = sorted(range(n), key=lambda i: (scores[i], i))
         total = int(labels.sum())
         hits = 0
-        for k, (_, prec, rec) in enumerate(precision_recall_at_k(labeled), start=1):
+        for k, (_, prec, rec) in enumerate(zip(*precision_recall_at_k(labeled)), start=1):
             hits += bool(labels[order[k - 1]])
             if prec != hits / k or rec != hits / total:
                 failures.append(f"pr k={k}: ({prec},{rec})")

@@ -68,6 +68,8 @@ def test_traced_commands_report_per_edge_figures(tmp_path):
                        "--out", p["alphas.csv"]]),
             ("rhss", ["rhss", "--train", p["train.csv"], "--test", p["test.csv"],
                       "--out", p["baseline.csv"]]),
+            ("eval", ["eval", "--scores", p["verdicts.csv"], "--labels", p["test.csv"],
+                      "--out-prefix", str(tmp_path / "run")]),
         ):
             span = tracer.begin("cli." + command)  # the root span run.py opens
             try:
@@ -79,7 +81,8 @@ def test_traced_commands_report_per_edge_figures(tmp_path):
 
     metrics = tracing.layer_metrics(tracer)
     for name in ("conformal.score_us_per_edge", "conformal.unseen_share",
-                 "conformal.floor_share", "rhss.score_us_per_edge"):
+                 "conformal.floor_share", "rhss.score_us_per_edge",
+                 "evaluation.curves_ms"):
         assert name in metrics, f"traced run reports no {name}"
     calib_rows = _rows(tmp_path / "calib.csv")
     test_rows = _rows(tmp_path / "test.csv")

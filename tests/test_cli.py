@@ -119,6 +119,28 @@ class TestPipeline:
         auc_neg = (pipeline["root"] / "by_negated_auc.txt").read_bytes()
         assert auc_inv == auc_neg
 
+    def test_eval_golden_output(self, tmp_path):
+        # Sorted by score the labels read 1,1,0,1,0,0 with one tie at 0.4, so
+        # the ROC curve has five thresholds and the AUC is 17/18.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("src,dst,score,label\n"
+                          "a,b,0.1,1\nb,c,0.4,0\nc,d,0.4,1\n"
+                          "d,e,0.7,0\ne,f,0.9,0\nf,a,0.2,1\n")
+        prefix = tmp_path / "golden"
+        assert main(["eval", "--scores", str(scores), "--out-prefix", str(prefix)]) == 0
+        third, two_thirds = "0.33333333333333331", "0.66666666666666663"
+        roc = [("0", "0"), ("0", third), ("0", two_thirds), (third, "1"),
+               (two_thirds, "1"), ("1", "1")]
+        pr = [(third, "1"), (two_thirds, "1"), (two_thirds, two_thirds),
+              ("1", "0.75"), ("1", "0.59999999999999998"), ("1", "0.5")]
+        assert (tmp_path / "golden_roc.csv").read_bytes().decode() == (
+            "# roc (x=false positive rate, y=true positive rate)\nx,y\r\n"
+            + "".join(f"{x},{y}\r\n" for x, y in roc))
+        assert (tmp_path / "golden_pr.csv").read_bytes().decode() == (
+            "# precision-recall (x=recall, y=precision)\nx,y\r\n"
+            + "".join(f"{x},{y}\r\n" for x, y in pr))
+        assert (tmp_path / "golden_auc.txt").read_bytes() == b"0.94444444444444442\n"
+
     def test_fpr_sim_smoke_and_determinism(self, tmp_path):
         out_a = tmp_path / "fpr_a.csv"
         out_b = tmp_path / "fpr_b.csv"
@@ -155,9 +177,10 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        with pytest.raises(UsageError, match="unknown config key"):
-            load_config_file(cfg)
+        for line in ("bogus = 1\n", "calib_fraction = 0.5\n"):
+            cfg.write_text(line)
+            with pytest.raises(UsageError, match="unknown config key"):
+                load_config_file(cfg)
 
     def test_bad_value_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -173,11 +196,12 @@ class TestConfigFile:
 
     def test_unknown_key_exits_one(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        rc = main(["fit", "--train", pipeline["train"],
-                   "--model", str(tmp_path / "m.adnd"), "--config", str(cfg)])
-        assert rc == 1
-        assert "unknown config key" in capsys.readouterr().err
+        for line in ("bogus = 1\n", "calib_fraction = 0.5\n"):
+            cfg.write_text(line)
+            rc = main(["fit", "--train", pipeline["train"],
+                       "--model", str(tmp_path / "m.adnd"), "--config", str(cfg)])
+            assert rc == 1
+            assert "unknown config key" in capsys.readouterr().err
 
 
 class TestExitCodes:

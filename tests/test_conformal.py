@@ -7,8 +7,8 @@ import pytest
 
 from edgeanomaly.adnd import HyperParams, TruncationLevels, fit, sample_edges
 from edgeanomaly.conformal import (
-    AnomalyVerdict,
     CalibrationScores,
+    Verdicts,
     calibration_scores,
     conformal_p_value,
     conformal_p_values,
@@ -156,6 +156,10 @@ class TestFullConformal:
         with pytest.raises(ValueError):
             full_conformal_p_values([1.0], [0.5])
 
+    def test_nan_score_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            full_conformal_p_values([1.0, np.nan, 2.0], [0.5] * 3)
+
     def test_matches_brute_force(self):
         for size in (2, 3, 4, 5):
             for scores in itertools.product((0.0, 1.0, 2.0), repeat=size):
@@ -222,32 +226,34 @@ class TestDetect:
     def test_verdict_fields_consistent(self, pipeline):
         model, calib, test = pipeline
         edge = next(iter(test))
-        verdict = detect(model, calib, edge, epsilon=0.3, seed=5)
-        assert verdict.score == nonconformity_score(model, edge)
-        assert 0.0 <= verdict.p_value <= 1.0
-        assert 0.0 < verdict.u_draw < 1.0
-        assert verdict.is_anomalous == (verdict.p_value <= 0.3)
+        verdicts = detect(model, calib, edge, epsilon=0.3, seed=5)
+        assert verdicts.scores.size == 1
+        assert verdicts.scores[0] == nonconformity_score(model, edge)
+        assert 0.0 <= verdicts.p_values[0] <= 1.0
+        assert 0.0 < verdicts.u_draws[0] < 1.0
+        assert verdicts.flagged[0] == (verdicts.p_values[0] <= 0.3)
 
     def test_deterministic_given_seed(self, pipeline):
         model, calib, test = pipeline
         edge = list(test)[1]
         a = detect(model, calib, edge, epsilon=0.1, seed=9)
         b = detect(model, calib, edge, epsilon=0.1, seed=9)
-        assert a == b
+        for name in ("scores", "p_values", "u_draws", "flagged"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_detect_draws_the_seeds_first_uniform(self, pipeline):
         model, calib, test = pipeline
         for seed, edge in enumerate(test):
-            verdict = detect(model, calib, edge, epsilon=0.1, seed=seed)
+            verdicts = detect(model, calib, edge, epsilon=0.1, seed=seed)
             u = np.random.default_rng(seed).uniform()
-            assert verdict.u_draw == u
+            assert verdicts.u_draws[0] == u
             score = nonconformity_score(model, edge)
-            assert verdict.p_value == conformal_p_value(score, calib, u)
+            assert verdicts.p_values[0] == conformal_p_value(score, calib, u)
 
     def test_epsilon_near_one_flags_everything(self, pipeline):
         model, calib, test = pipeline
         verdicts = detect_corpus(model, calib, test, epsilon=0.999, seed=0)
-        assert all(v.is_anomalous for v in verdicts)
+        assert verdicts.flagged.all()
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5])
     def test_bad_epsilon_raises(self, pipeline, eps):
@@ -260,15 +266,34 @@ class TestDetect:
         verdicts = detect_corpus(model, calib, test, epsilon=0.2, seed=77)
         # same u stream: scalar path consumes one draw per call
         u_draws = np.random.default_rng(77).uniform(size=len(test))
-        for edge, verdict, u in zip(test, verdicts, u_draws):
+        for edge, p_value, u in zip(test, verdicts.p_values, u_draws):
             score = nonconformity_score(model, edge)
-            assert verdict.p_value == conformal_p_value(score, calib, u)
+            assert p_value == conformal_p_value(score, calib, u)
 
-    def test_verdict_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            AnomalyVerdict(
-                score=1.0, p_value=0.4, epsilon=0.5, is_anomalous=False, u_draw=0.5
-            )
+
+class TestVerdicts:
+    def test_flagged_is_p_value_at_most_epsilon(self):
+        verdicts = Verdicts([1.0, 2.0, 3.0], [0.4, 0.5, 0.6], [0.1, 0.2, 0.3], epsilon=0.5)
+        np.testing.assert_array_equal(verdicts.flagged, [True, True, False])
+
+    def test_arrays_read_only(self):
+        verdicts = Verdicts([1.0], [0.4], [0.5], epsilon=0.5)
+        for array in (verdicts.scores, verdicts.p_values, verdicts.u_draws):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "scores,p_values,u_draws",
+        [([1.0, 2.0], [0.4], [0.5]), ([1.0], [0.4], [0.5, 0.6]), ([[1.0]], [[0.4]], [[0.5]])],
+    )
+    def test_rejects_unequal_or_non_vector_arrays(self, scores, p_values, u_draws):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            Verdicts(scores, p_values, u_draws, epsilon=0.5)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+    def test_rejects_p_value_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p_values"):
+            Verdicts([1.0], [p], [0.5], epsilon=0.5)
 
 
 class TestNonconformityScore:

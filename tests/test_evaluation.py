@@ -6,9 +6,9 @@ import csv
 import numpy as np
 import pytest
 
+from edgeanomaly import evaluation
 from edgeanomaly.adnd import HyperParams, TruncationLevels
 from edgeanomaly.evaluation import (
-    CurvePoint,
     FprPoint,
     LabeledScores,
     auc,
@@ -60,20 +60,20 @@ class TestLabeledScores:
 class TestPrecisionRecallAtK:
     def test_two_anomalies_rank_first(self):
         labeled = LabeledScores([0.1, 0.2, 0.9], [True, True, False])
-        rows = precision_recall_at_k(labeled)
-        assert rows[1] == (2, 1.0, 1.0)
+        ks, precision, recall = precision_recall_at_k(labeled)
+        assert (ks[1], precision[1], recall[1]) == (2, 1.0, 1.0)
 
     def test_all_normal_prefix_has_zero_precision(self):
         labeled = LabeledScores([0.1, 0.2, 0.9], [False, False, True])
-        rows = precision_recall_at_k(labeled)
-        assert rows[0] == (1, 0.0, 0.0)
-        assert rows[1] == (2, 0.0, 0.0)
+        ks, precision, recall = precision_recall_at_k(labeled)
+        assert (ks[0], precision[0], recall[0]) == (1, 0.0, 0.0)
+        assert (ks[1], precision[1], recall[1]) == (2, 0.0, 0.0)
 
     def test_full_cutoff_has_unit_recall(self):
         rng = np.random.default_rng(0)
         labeled = LabeledScores(rng.uniform(size=12), rng.uniform(size=12) < 0.4)
-        rows = precision_recall_at_k(labeled)
-        assert rows[-1][2] == 1.0
+        _, _, recall = precision_recall_at_k(labeled)
+        assert recall[-1] == 1.0
 
     def test_counts_are_integers(self):
         rng = np.random.default_rng(1)
@@ -83,7 +83,7 @@ class TestPrecisionRecallAtK:
             if not labels.any():
                 labels[0] = True
             labeled = LabeledScores(rng.integers(0, 4, size=n).astype(float), labels)
-            for k, precision, recall in precision_recall_at_k(labeled):
+            for k, precision, recall in zip(*precision_recall_at_k(labeled)):
                 assert (precision * k) == pytest.approx(round(precision * k), abs=1e-12)
                 c = recall * labeled.num_anomalies
                 assert c == pytest.approx(round(c), abs=1e-12)
@@ -96,9 +96,9 @@ class TestPrecisionRecallAtK:
     def test_ties_keep_input_order(self):
         # Equal scores: the anomaly listed first is counted in the top 1.
         labeled = LabeledScores([0.5, 0.5, 0.5], [True, False, True])
-        rows = precision_recall_at_k(labeled)
-        assert rows[0] == (1, 1.0, 0.5)
-        assert rows[1] == (2, 0.5, 0.5)
+        ks, precision, recall = precision_recall_at_k(labeled)
+        assert (ks[0], precision[0], recall[0]) == (1, 1.0, 0.5)
+        assert (ks[1], precision[1], recall[1]) == (2, 0.5, 0.5)
 
     def test_matches_hand_enumeration(self):
         rng = np.random.default_rng(2)
@@ -112,9 +112,8 @@ class TestPrecisionRecallAtK:
             order = sorted(range(n), key=lambda i: (scores[i], i))
             num_anomalies = int(labels.sum())
             hits = 0
-            for k, (prec, rec) in enumerate(
-                [(p, r) for _, p, r in precision_recall_at_k(labeled)], start=1
-            ):
+            _, precisions, recalls = precision_recall_at_k(labeled)
+            for k, (prec, rec) in enumerate(zip(precisions, recalls), start=1):
                 hits += bool(labels[order[k - 1]])
                 assert prec == hits / k
                 assert rec == hits / num_anomalies
@@ -123,10 +122,10 @@ class TestPrecisionRecallAtK:
 class TestRocPoints:
     def test_perfect_separation_passes_top_left(self):
         labeled = LabeledScores([0.1, 0.2, 0.8, 0.9], [True, True, False, False])
-        points = roc_points(labeled)
-        assert CurvePoint(0.0, 1.0) in points
-        assert points[0] == CurvePoint(0.0, 0.0)
-        assert points[-1] == CurvePoint(1.0, 1.0)
+        points = list(zip(*roc_points(labeled)))
+        assert (0.0, 1.0) in points
+        assert points[0] == (0.0, 0.0)
+        assert points[-1] == (1.0, 1.0)
 
     def test_monotone_in_both_coordinates(self):
         rng = np.random.default_rng(3)
@@ -136,9 +135,7 @@ class TestRocPoints:
             if labels.all() or not labels.any():
                 labels[0] = ~labels[0]
             labeled = LabeledScores(rng.integers(0, 5, size=n).astype(float), labels)
-            points = roc_points(labeled)
-            xs = [p.x for p in points]
-            ys = [p.y for p in points]
+            xs, ys = roc_points(labeled)
             assert all(a <= b for a, b in zip(xs, xs[1:]))
             assert all(a <= b for a, b in zip(ys, ys[1:]))
 
@@ -146,7 +143,7 @@ class TestRocPoints:
         rng = np.random.default_rng(4)
         scores = rng.uniform(size=2000)
         labels = rng.uniform(size=2000) < 0.5
-        value = auc(roc_points(LabeledScores(scores, labels)))
+        value = auc(*roc_points(LabeledScores(scores, labels)))
         assert abs(value - 0.5) <= 0.05
 
     def test_sign_flip_complements_auc(self):
@@ -155,8 +152,8 @@ class TestRocPoints:
         labels = rng.uniform(size=40) < 0.4
         labels[0] = True
         labels[1] = False
-        forward = auc(roc_points(LabeledScores(scores, labels)))
-        backward = auc(roc_points(LabeledScores(-scores, labels)))
+        forward = auc(*roc_points(LabeledScores(scores, labels)))
+        backward = auc(*roc_points(LabeledScores(-scores, labels)))
         assert forward + backward == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("labels", [[True, True], [False, False]])
@@ -167,11 +164,10 @@ class TestRocPoints:
 
 class TestAuc:
     def test_perfect_curve(self):
-        points = [CurvePoint(0.0, 0.0), CurvePoint(0.0, 1.0), CurvePoint(1.0, 1.0)]
-        assert auc(points) == 1.0
+        assert auc([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]) == 1.0
 
     def test_diagonal(self):
-        assert auc([CurvePoint(0.0, 0.0), CurvePoint(1.0, 1.0)]) == 0.5
+        assert auc([0.0, 1.0], [0.0, 1.0]) == 0.5
 
     def test_equals_mann_whitney_on_seven_scores(self):
         rng = np.random.default_rng(6)
@@ -181,18 +177,27 @@ class TestAuc:
             if labels.all() or not labels.any():
                 labels[0] = ~labels[0]
             labeled = LabeledScores(scores, labels)
-            assert auc(roc_points(labeled)) == pytest.approx(
+            assert auc(*roc_points(labeled)) == pytest.approx(
                 mann_whitney_auc(scores, labels), abs=1e-12
             )
 
     def test_unsorted_points_rejected(self):
-        points = [CurvePoint(0.0, 0.0), CurvePoint(0.8, 0.5), CurvePoint(0.3, 1.0)]
         with pytest.raises(ValueError, match="sorted"):
-            auc(points)
+            auc([0.0, 0.8, 0.3], [0.0, 0.5, 1.0])
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="two curve points"):
-            auc([CurvePoint(0.0, 0.0)])
+            auc([0.0], [0.0])
+
+    @pytest.mark.parametrize("xs,ys", [([0.0, 1.5], [0.0, 1.0]), ([0.0, 1.0], [-0.1, 1.0]),
+                                       ([0.0, np.nan], [0.0, 1.0])])
+    def test_points_outside_unit_square_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="unit square"):
+            auc(xs, ys)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            auc([0.0, 0.5, 1.0], [0.0, 1.0])
 
 
 class TestKsUniformity:
@@ -260,6 +265,20 @@ class TestFprSimulation:
             expected = np.sqrt(point.fpr * (1.0 - point.fpr) / point.n_test)
             assert point.stderr == pytest.approx(expected, abs=1e-15)
 
+    def test_calibration_split_has_exactly_n_calib_edges(self, monkeypatch):
+        # floor(22 * (15 / 22)) is 14 in floating point, not 15.
+        sizes = []
+        score_calibration = evaluation.calibration_scores
+
+        def recording(model, corpus):
+            sizes.append(corpus.n)
+            return score_calibration(model, corpus)
+
+        monkeypatch.setattr(evaluation, "calibration_scores", recording)
+        fpr_simulation(SMOKE_HYPER, SMOKE_TRUNC, 8, n_train=7, n_calib=15, n_test=10,
+                       epsilons=[0.1], trials=1, seed=0, max_sweeps=5)
+        assert sizes == [15]
+
     def test_paper_orientation_runs(self):
         points = smoke_simulation(15, orientation="paper", epsilons=(0.5,))
         assert 0.0 <= points[0].fpr <= 1.0
@@ -284,15 +303,14 @@ class TestFprSimulation:
 
 class TestCsvWriters:
     def test_curve_round_trip(self, tmp_path):
-        points = [CurvePoint(0.0, 0.0), CurvePoint(1.0 / 3.0, 0.75), CurvePoint(1.0, 1.0)]
+        points = [(0.0, 0.0), (1.0 / 3.0, 0.75), (1.0, 1.0)]
         path = tmp_path / "roc.csv"
-        write_curve_csv(path, points, "roc")
+        write_curve_csv(path, *zip(*points), "roc")
         lines = path.read_text().splitlines()
         assert lines[0] == "# roc"
         assert lines[1] == "x,y"
         parsed = [tuple(map(float, row)) for row in csv.reader(lines[2:])]
-        for point, (x, y) in zip(points, parsed):
-            assert (x, y) == (point.x, point.y)
+        assert parsed == points
 
     def test_fpr_round_trip(self, tmp_path):
         points = [
