@@ -159,11 +159,15 @@ def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
 
 
 def _exp_normalize(logits: np.ndarray) -> np.ndarray:
-    """Rowwise softmax, stabilized by subtracting each row's maximum."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    """Rowwise softmax, stabilized by subtracting each row's maximum.
+
+    Works in place on logits, which callers pass as a fresh temporary, so an
+    (n, k) edge-responsibility update holds one such buffer, not three.
+    """
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _uniform_rows(rng: np.random.Generator, shape) -> np.ndarray:
@@ -172,11 +176,29 @@ def _uniform_rows(rng: np.random.Generator, shape) -> np.ndarray:
     return rows
 
 
-def _token_counts(edge_resp: np.ndarray, tokens: np.ndarray, dim: int) -> np.ndarray:
-    """Responsibility-weighted token counts, shape (num_atoms, dim)."""
-    counts = np.zeros((dim, edge_resp.shape[1]))
-    np.add.at(counts, tokens, edge_resp)
-    return counts.T
+def _incidence(tokens: np.ndarray, dim: int):
+    """(dim, n) CSR 0/1 matrix whose row w lists the edges with token w.
+
+    Each row's edges are in ascending order (a stable argsort), so a product
+    with it adds up every row's terms in edge order, the order of a
+    sequential scatter-add. scipy.sparse is imported here, not at module
+    top, since only the fit needs it.
+    """
+    from scipy.sparse import csr_array
+
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tokens, minlength=dim), out=indptr[1:])
+    edges = np.argsort(tokens, kind="stable")
+    return csr_array((np.ones(tokens.size), edges, indptr), shape=(dim, tokens.size))
+
+
+def _token_counts(incidence, edge_resp: np.ndarray) -> np.ndarray:
+    """Responsibility-weighted token counts, shape (num_atoms, dim).
+
+    Entry (a, w) sums edge_resp[i, a] over the edges i with token w, in edge
+    order; every stored incidence entry is 1.0, so no product rounds.
+    """
+    return (incidence @ edge_resp).T
 
 
 @dataclass
@@ -333,8 +355,57 @@ def init_state(
     )
 
 
+@dataclass
+class _Sweep:
+    """Values a fit's blocks share instead of recomputing, one carrier per fit.
+
+    Each derived value is written by the block that changes its source: the
+    per-side token counts by the document update, which changes the edge
+    responsibilities; digamma(lam), the topics' E[log p] and the corpus
+    stick expectations by the corpus update, which changes lam and the
+    corpus sticks. The incidence matrices depend only on the corpus.
+    """
+
+    send_incidence: object
+    recv_incidence: object
+    send_counts: np.ndarray = field(init=False)
+    recv_counts: np.ndarray = field(init=False)
+    digamma_lam: np.ndarray = field(init=False)
+    elog_topic: np.ndarray = field(init=False)
+    elog_corpus: np.ndarray = field(init=False)
+
+    @classmethod
+    def start(cls, state: VariationalState, corpus: EdgeCorpus) -> _Sweep:
+        """A carrier whose derived values all match the given state."""
+        dim = state.lam.shape[1]
+        sweep = cls(_incidence(corpus.senders, dim), _incidence(corpus.receivers, dim))
+        sweep.count("send", state.send_edge_resp)
+        sweep.count("recv", state.recv_edge_resp)
+        sweep.set_topics(state.lam)
+        sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
+        return sweep
+
+    def count(self, side: str, edge_resp: np.ndarray) -> np.ndarray:
+        counts = _token_counts(getattr(self, f"{side}_incidence"), edge_resp)
+        setattr(self, f"{side}_counts", counts)
+        return counts
+
+    def set_topics(self, lam: np.ndarray) -> None:
+        # dirichlet_log_expectation(lam), keeping the digamma terms that the
+        # Dirichlet entropy reuses
+        self.digamma_lam = digamma(lam)
+        self.elog_topic = self.digamma_lam - digamma(lam.sum(axis=-1, keepdims=True))
+
+    def set_corpus_sticks(self, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
+        self.elog_corpus = expected_log_sticks(shape_a, shape_b)
+
+
 def update_document_level(
-    state: VariationalState, corpus: EdgeCorpus, hyper: HyperParams
+    state: VariationalState,
+    corpus: EdgeCorpus,
+    hyper: HyperParams,
+    *,
+    sweep: _Sweep | None = None,
 ) -> VariationalState:
     """Exact block updates for both sides' edge responsibilities, atom-topic
     responsibilities, and sticks, in that order per side.
@@ -343,10 +414,16 @@ def update_document_level(
     its expected log stick weight; atom responsibilities weigh each shared
     topic by responsibility-weighted token scores plus the corpus stick
     expectation; stick shapes then absorb the new responsibilities.
+
+    Inside fit_state, the topics' E[log p] and the corpus stick expectation
+    come from the sweep carrier, where the previous corpus update (or the
+    initial state) left them. Called alone, they are computed from the
+    state. Either way each side's token counts are computed here, once, from
+    the new edge responsibilities, and stored on the carrier for the corpus
+    update and the bound.
     """
-    elog_topic = dirichlet_log_expectation(state.lam)
-    elog_corpus = expected_log_sticks(state.corpus_stick_a, state.corpus_stick_b)
-    dim = state.lam.shape[1]
+    sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
+    elog_topic = sweep.elog_topic
 
     for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers)):
         topic_resp = getattr(state, f"{side}_topic_resp")
@@ -357,8 +434,8 @@ def update_document_level(
         atom_token_score = topic_resp @ elog_topic
         edge_resp = _exp_normalize(atom_token_score[:, tokens].T + elog_side)
 
-        counts = _token_counts(edge_resp, tokens, dim)
-        topic_resp = _exp_normalize(counts @ elog_topic.T + elog_corpus)
+        counts = sweep.count(side, edge_resp)
+        topic_resp = _exp_normalize(counts @ elog_topic.T + sweep.elog_corpus)
 
         shape_a, shape_b = stick_posterior(edge_resp, hyper.tau)
         setattr(state, f"{side}_edge_resp", edge_resp)
@@ -369,25 +446,35 @@ def update_document_level(
 
 
 def update_corpus_level(
-    state: VariationalState, corpus: EdgeCorpus, hyper: HyperParams
+    state: VariationalState,
+    corpus: EdgeCorpus,
+    hyper: HyperParams,
+    *,
+    sweep: _Sweep | None = None,
 ) -> VariationalState:
     """Exact block updates for the shared topic sticks and topic parameters.
 
     Both sides' atom-topic responsibilities stack into one responsibility
     matrix for the corpus sticks; topic parameters add responsibility-routed
     token counts from both sides onto the eta prior.
+
+    Inside fit_state, the token counts are the ones the document update
+    stored on the sweep carrier. Called alone, they are counted from the
+    state's edge responsibilities. Either way this block then stores the new
+    corpus stick expectations, digamma(lam) and the topics' E[log p] on the
+    carrier, for the bound and the next document update.
     """
+    sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
     stacked = np.vstack([state.send_topic_resp, state.recv_topic_resp])
     state.corpus_stick_a, state.corpus_stick_b = stick_posterior(stacked, hyper.gamma)
+    sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
 
-    dim = state.lam.shape[1]
-    send_counts = _token_counts(state.send_edge_resp, corpus.senders, dim)
-    recv_counts = _token_counts(state.recv_edge_resp, corpus.receivers, dim)
     state.lam = (
         hyper.eta
-        + state.send_topic_resp.T @ send_counts
-        + state.recv_topic_resp.T @ recv_counts
+        + state.send_topic_resp.T @ sweep.send_counts
+        + state.recv_topic_resp.T @ sweep.recv_counts
     )
+    sweep.set_topics(state.lam)
     return state
 
 
@@ -407,7 +494,8 @@ def _beta_entropy(shape_a: np.ndarray, shape_b: np.ndarray) -> float:
     )
 
 
-def _dirichlet_entropy(alpha: np.ndarray) -> float:
+def _dirichlet_entropy(alpha: np.ndarray, digamma_alpha: np.ndarray) -> float:
+    """Summed entropy of Dirichlet rows, given digamma(alpha)."""
     alpha0 = alpha.sum(axis=1)
     dim = alpha.shape[1]
     return float(
@@ -415,7 +503,7 @@ def _dirichlet_entropy(alpha: np.ndarray) -> float:
             gammaln(alpha).sum(axis=1)
             - gammaln(alpha0)
             + (alpha0 - dim) * digamma(alpha0)
-            - ((alpha - 1.0) * digamma(alpha)).sum(axis=1)
+            - ((alpha - 1.0) * digamma_alpha).sum(axis=1)
         )
     )
 
@@ -431,26 +519,36 @@ def _stick_prior_term(shape_a, shape_b, concentration: float) -> float:
 
 
 def compute_elbo(
-    state: VariationalState, corpus: EdgeCorpus, hyper: HyperParams
+    state: VariationalState,
+    corpus: EdgeCorpus,
+    hyper: HyperParams,
+    *,
+    sweep: _Sweep | None = None,
 ) -> float:
     """Evidence lower bound for the current state on the given corpus.
 
     Sums expected token log likelihoods, expected log priors for both sides'
     assignments and sticks, the shared stick and topic priors, and the
     entropies of every variational factor. Finite for any valid state.
+
+    Inside fit_state, the token counts, digamma(lam), the topics' E[log p]
+    and the corpus stick expectations come from the sweep carrier, where
+    this sweep's document and corpus updates stored them. Called alone, all
+    of them are computed from the state.
     """
-    elog_topic = dirichlet_log_expectation(state.lam)
-    elog_corpus = expected_log_sticks(state.corpus_stick_a, state.corpus_stick_b)
+    sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
+    elog_topic = sweep.elog_topic
+    elog_corpus = sweep.elog_corpus
     dim = state.lam.shape[1]
     total = 0.0
 
-    for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers)):
+    for side in ("send", "recv"):
         topic_resp = getattr(state, f"{side}_topic_resp")
         edge_resp = getattr(state, f"{side}_edge_resp")
         shape_a = getattr(state, f"{side}_stick_a")
         shape_b = getattr(state, f"{side}_stick_b")
         elog_side = expected_log_sticks(shape_a, shape_b)
-        counts = _token_counts(edge_resp, tokens, dim)
+        counts = getattr(sweep, f"{side}_counts")
 
         total += float((topic_resp * (counts @ elog_topic.T)).sum())
         total += float((topic_resp @ elog_corpus).sum())
@@ -466,7 +564,7 @@ def compute_elbo(
         + (hyper.eta - 1.0) * elog_topic.sum()
     )
     total += _beta_entropy(state.corpus_stick_a, state.corpus_stick_b)
-    total += _dirichlet_entropy(state.lam)
+    total += _dirichlet_entropy(state.lam, sweep.digamma_lam)
     return total
 
 
@@ -482,20 +580,22 @@ def fit_state(
     """Run coordinate ascent to convergence; return (state, diagnostics).
 
     One sweep is a document-level update followed by a corpus-level update.
-    Stops once the bound's relative change drops below rel_tol or after
-    max_sweeps sweeps.
+    The three block calls share one _Sweep carrier, so each sweep counts
+    each side's tokens once and computes digamma(lam) once. Stops once the
+    bound's relative change drops below rel_tol or after max_sweeps sweeps.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     state = init_state(corpus, hyper, trunc, seed)
+    sweep = _Sweep.start(state, corpus)
     trace: list[float] = []
     converged = False
     for _ in range(max_sweeps):
-        update_document_level(state, corpus, hyper)
-        update_corpus_level(state, corpus, hyper)
-        bound = compute_elbo(state, corpus, hyper)
+        update_document_level(state, corpus, hyper, sweep=sweep)
+        update_corpus_level(state, corpus, hyper, sweep=sweep)
+        bound = compute_elbo(state, corpus, hyper, sweep=sweep)
         trace.append(bound)
         if len(trace) > 1 and abs(bound - trace[-2]) <= rel_tol * abs(bound):
             converged = True

@@ -112,6 +112,8 @@ def _calibration_array(calib) -> np.ndarray:
     scores = np.asarray(getattr(calib, "scores", calib), dtype=float)
     if scores.size == 0:
         raise ValueError("calibration set must not be empty")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("calibration scores must be finite")
     return scores
 
 
@@ -127,6 +129,8 @@ def conformal_p_value(
     strictly below it for "paper".
     """
     scores = _calibration_array(calib)
+    if not np.isfinite(score):
+        raise ValueError("test score must be finite")
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly between 0 and 1")
     _check_orientation(orientation)
@@ -159,9 +163,13 @@ def conformal_p_values(
 
     Counts come from binary search on the sorted calibration scores and feed
     the same arithmetic as the scalar form, so results match it exactly.
+    Both forms reject non-finite calibration and test scores, on which a
+    sorted search and a direct count would disagree.
     """
     scores = _calibration_array(calib)
     test_scores = np.asarray(test_scores, dtype=float)
+    if not np.all(np.isfinite(test_scores)):
+        raise ValueError("test scores must be finite")
     u_draws = np.asarray(u_draws, dtype=float)
     if u_draws.shape != test_scores.shape:
         raise ValueError("u_draws must match test_scores in shape")

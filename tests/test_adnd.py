@@ -32,6 +32,8 @@ from edgeanomaly.adnd import (
 )
 from edgeanomaly.graph_core import Edge, EdgeCorpus, NodeVocab
 
+import oracles
+
 HYPER = HyperParams()
 SMALL_TRUNC = TruncationLevels(k_h=6, k_a=3, k_b=3)
 
@@ -245,6 +247,96 @@ class TestUpdates:
             update_corpus_level(state, corpus, HYPER)
             total = float(np.sum(state.lam - HYPER.eta))
             assert abs(total - 2.0 * corpus.n) <= 1e-9 * 2.0 * corpus.n
+
+
+@st.composite
+def _count_cases(draw):
+    """(edge_resp, tokens, dim): tokens stay at or below a drawn top slot, so
+    the slots above it (the unseen slot among them) are often empty."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 5))
+    top = draw(st.integers(0, dim - 1))
+    tokens = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    values = draw(st.lists(
+        st.floats(0.0, 1e6, allow_nan=False, allow_subnormal=False),
+        min_size=n * k, max_size=n * k))
+    edge_resp = np.array(values).reshape(n, k)
+    if draw(st.booleans()):
+        edge_resp = np.asfortranarray(edge_resp)
+    return edge_resp, tokens, dim
+
+
+class TestFusedSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(_count_cases())
+    def test_incidence_counts_equal_oracle_bit_for_bit(self, case):
+        edge_resp, tokens, dim = case
+        got = adnd._token_counts(adnd._incidence(tokens, dim), edge_resp)
+        want = oracles.token_counts(edge_resp, tokens, dim)
+        assert got.shape == want.shape == (edge_resp.shape[1], dim)
+        assert np.array_equal(got, want)
+        assert got.flags.f_contiguous  # the layout the BLAS products saw before
+
+    @pytest.mark.parametrize("tokens,dim", [
+        ([0], 1),  # n = 1, one slot
+        ([2], 4),  # n = 1, the unseen slot and two others empty
+        ([1, 1, 1, 1], 3),  # one repeated token
+        ([0, 2, 0, 2, 0], 4),  # repeats, empty middle and unseen slots
+    ])
+    def test_incidence_counts_named_cases(self, tokens, dim):
+        tokens = np.array(tokens)
+        rng = np.random.default_rng(len(tokens))
+        for k in (1, 3):
+            edge_resp = rng.uniform(size=(tokens.size, k))
+            got = adnd._token_counts(adnd._incidence(tokens, dim), edge_resp)
+            assert np.array_equal(got, oracles.token_counts(edge_resp, tokens, dim))
+
+    def test_carrier_starts_from_the_state(self):
+        corpus = small_corpus(seed=2)
+        state = init_state(corpus, HYPER, SMALL_TRUNC, seed=1)
+        sweep = adnd._Sweep.start(state, corpus)
+        dim = corpus.vocab.num_nodes + 1
+        assert np.array_equal(
+            sweep.send_counts, oracles.token_counts(state.send_edge_resp, corpus.senders, dim))
+        assert np.array_equal(
+            sweep.recv_counts,
+            oracles.token_counts(state.recv_edge_resp, corpus.receivers, dim))
+        assert np.array_equal(sweep.digamma_lam, digamma(state.lam))
+        assert np.array_equal(sweep.elog_topic, dirichlet_log_expectation(state.lam))
+        assert np.array_equal(
+            sweep.elog_corpus,
+            expected_log_sticks(state.corpus_stick_a, state.corpus_stick_b))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fit_equals_standalone_block_calls(self, seed):
+        corpus = small_corpus(seed=seed, num_edges=120)
+        fitted, diag = fit_state(corpus, HYPER, SMALL_TRUNC, max_sweeps=12,
+                                 rel_tol=1e-12, seed=seed)
+        state = init_state(corpus, HYPER, SMALL_TRUNC, seed=seed)
+        trace = []
+        for _ in range(diag.sweeps):
+            update_document_level(state, corpus, HYPER)
+            update_corpus_level(state, corpus, HYPER)
+            trace.append(compute_elbo(state, corpus, HYPER))
+        assert tuple(trace) == diag.elbo_trace
+        assert np.array_equal(state.lam, fitted.lam)
+
+    def test_each_sweep_counts_each_side_once(self, monkeypatch):
+        calls = []
+        original = adnd._token_counts
+
+        def counting(incidence, edge_resp):
+            calls.append(edge_resp.shape)
+            return original(incidence, edge_resp)
+
+        monkeypatch.setattr(adnd, "_token_counts", counting)
+        corpus = small_corpus(seed=1)
+        _, diag = fit_state(corpus, HYPER, SMALL_TRUNC, max_sweeps=4,
+                            rel_tol=1e-12, seed=0)
+        assert diag.sweeps == 4
+        # two counts to start the carrier from the initial state, then two a sweep
+        assert len(calls) == 2 + 2 * diag.sweeps
 
 
 class TestElbo:

@@ -10,6 +10,8 @@ so the traced commands are also run here and their figures checked.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import pytest
 
 from edgeanomaly import adnd, cli
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -87,3 +90,42 @@ def test_traced_commands_report_per_edge_figures(tmp_path):
     calib_rows = _rows(tmp_path / "calib.csv")
     test_rows = _rows(tmp_path / "test.csv")
     assert metrics["conformal.edges_scored"] == calib_rows + 2 * test_rows
+
+
+def test_traced_fit_reports_per_sweep_figures(tmp_path):
+    train, model = str(tmp_path / "train.csv"), str(tmp_path / "model.adnd")
+    assert cli.main(["synth", "--nodes", "12", "--edges", "150", "--seed", "1",
+                     "--out", train]) == 0
+    sweeps = 4
+    tracer = tracing.Tracer()
+    installed = tracing.Installed(tracer, "edgeanomaly", -adnd.LOG_FLOOR)
+    try:
+        span = tracer.begin("cli.fit")  # the root span run.py opens
+        try:
+            # a tolerance too small to stop early, as the benchmark's fit uses
+            assert cli.main(["fit", "--train", train, "--model", model, "--kh", "4",
+                             "--ka", "2", "--kb", "2", "--max-sweeps", str(sweeps),
+                             "--rel-tol", "1e-300"]) == 0
+        finally:
+            tracer.end(span)
+    finally:
+        installed.remove()
+
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("adnd.doc_update_ms", "adnd.corpus_update_ms", "adnd.elbo_ms"):
+        assert name in metrics, f"traced fit reports no {name}"
+    assert metrics["adnd.sweeps"] == sweeps
+    per_block = {name: sum(1 for s in tracer.spans if s.name == name) for name in (
+        "adnd.update_document_level", "adnd.update_corpus_level", "adnd.compute_elbo")}
+    assert set(per_block.values()) == {sweeps}, per_block
+
+
+def test_cold_cli_import_leaves_scipy_sparse_unloaded():
+    # the benchmark's setup_s times this import; only the fit needs scipy.sparse
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, edgeanomaly.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -67,6 +67,27 @@ class TestConformalPValue:
         with pytest.raises(ValueError):
             conformal_p_value(1.0, self.CALIB, 0.5, "sideways")
 
+    # A raw calibration array bypasses CalibrationScores. With a NaN in it the
+    # sorted search and the direct count disagreed: 0.3 against 0.1 for test
+    # score 0.5 at u = 0.5 against [0.1, 0.2, 0.3, nan].
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_calibration_rejected_by_both_forms(self, bad):
+        calib = np.array([0.1, 0.2, 0.3, bad])
+        with pytest.raises(ValueError, match="calibration scores must be finite"):
+            conformal_p_value(0.5, calib, 0.5)
+        with pytest.raises(ValueError, match="calibration scores must be finite"):
+            conformal_p_values([0.5], calib, [0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_score_rejected_by_scalar_form(self, bad):
+        with pytest.raises(ValueError, match="test score must be finite"):
+            conformal_p_value(bad, self.CALIB, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_score_rejected_by_vector_form(self, bad):
+        with pytest.raises(ValueError, match="test scores must be finite"):
+            conformal_p_values([0.5, bad], self.CALIB, [0.5, 0.5])
+
     def test_matches_brute_force_on_small_multisets(self):
         u = 0.37
         for size in range(1, 6):
