@@ -16,7 +16,10 @@ holdout score for any candidate edge.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,7 +57,11 @@ __all__ = [
 # Scores below exp(-745) underflow float64; holdout log likelihoods clamp here.
 LOG_FLOOR = -745.0
 
-MODEL_MAGIC = "ADND1"
+MODEL_MAGIC = "ADND2"
+# Files written before ADND2 still load; their topic_node is hex-float rows.
+_MODEL_MAGIC_V1 = "ADND1"
+# topic_node's stored element type: IEEE float64, little-endian.
+_PACKED_DTYPE = "<f8"
 
 
 class ModelFormatError(ValueError):
@@ -619,7 +626,8 @@ def fit(
 
     Topics become their posterior means; topic weights come from posterior
     mean stick fractions with the last weight absorbing the leftover stick.
-    The corpus vocabulary is frozen, since scoring must not shift indices.
+    The model keeps a frozen copy of the corpus vocabulary, since scoring
+    must not shift indices; the corpus's own vocabulary is left as it was.
     """
     hyper = hyper if hyper is not None else HyperParams()
     trunc = trunc if trunc is not None else TruncationLevels()
@@ -629,11 +637,10 @@ def fit(
     topic_node = state.lam / state.lam.sum(axis=1, keepdims=True)
     mean_fractions = state.corpus_stick_a / (state.corpus_stick_a + state.corpus_stick_b)
     topic_weights = stick_weights(np.append(mean_fractions, 1.0), truncate_last=True)
-    corpus.vocab.freeze()
     return FittedModel(
         topic_node=topic_node,
         topic_weights=topic_weights,
-        vocab=corpus.vocab,
+        vocab=NodeVocab(corpus.vocab.labels).freeze(),
         hyper=hyper,
         trunc=trunc,
         diagnostics=diagnostics,
@@ -803,18 +810,63 @@ def _unhex_vector(values) -> np.ndarray:
     return np.array([float.fromhex(v) for v in values])
 
 
-def save_model(model: FittedModel, path) -> None:
-    """Write a fitted model as a magic line plus a JSON body.
+def _pack_matrix(values: np.ndarray) -> dict:
+    """Raw little-endian float64 bytes of a matrix, in C order, as base64."""
+    data = np.asarray(values, dtype=_PACKED_DTYPE).tobytes(order="C")
+    return {
+        "dtype": _PACKED_DTYPE,
+        "shape": list(values.shape),
+        "data": base64.b64encode(data).decode("ascii"),
+    }
 
-    Array entries are stored as C99 hex floats, so a load reproduces
-    topic_node and topic_weights bit for bit.
+
+def _unpack_matrix(packed) -> np.ndarray:
+    """Inverse of _pack_matrix; a malformed block raises ValueError or TypeError."""
+    if packed["dtype"] != _PACKED_DTYPE:
+        raise ValueError(f"topic_node dtype {packed['dtype']!r} is not {_PACKED_DTYPE!r}")
+    shape = packed["shape"]
+    if not (
+        isinstance(shape, list)
+        and all(type(size) is int and size >= 0 for size in shape)
+    ):
+        raise ValueError(f"topic_node shape {shape!r} is not a list of sizes")
+    try:
+        data = base64.b64decode(packed["data"], validate=True)
+    except binascii.Error as err:
+        raise ValueError(f"topic_node data is not valid base64 ({err})") from err
+    expected = math.prod(shape) * np.dtype(_PACKED_DTYPE).itemsize
+    if len(data) != expected:
+        raise ValueError(
+            f"topic_node holds {len(data)} bytes, shape {shape} needs {expected}"
+        )
+    return np.frombuffer(data, dtype=_PACKED_DTYPE).reshape(shape)
+
+
+def _frozen_vocab(labels) -> NodeVocab:
+    """The frozen vocabulary a model file names; labels must be distinct strings."""
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ValueError("vocab_labels must be a list of strings")
+    vocab = NodeVocab(labels).freeze()
+    if vocab.num_nodes != len(labels):
+        raise ValueError("vocab_labels holds duplicate labels")
+    return vocab
+
+
+def save_model(model: FittedModel, path) -> None:
+    """Write a fitted model as the ADND2 magic line plus a JSON body.
+
+    topic_node, the one array sized by the vocabulary, is stored as base64
+    raw little-endian float64 bytes in C order under its dtype and shape.
+    topic_weights and the ELBO trace stay C99 hex-float lists. Both forms
+    reproduce the arrays bit for bit on load, and saving a loaded model
+    writes the same bytes again.
     """
     payload = {
-        "version": 1,
+        "version": 2,
         "vocab_labels": list(model.vocab.labels),
         "hyper": {"eta": model.hyper.eta, "gamma": model.hyper.gamma, "tau": model.hyper.tau},
         "trunc": {"k_h": model.trunc.k_h, "k_a": model.trunc.k_a, "k_b": model.trunc.k_b},
-        "topic_node": [_hex_vector(row) for row in model.topic_node],
+        "topic_node": _pack_matrix(model.topic_node),
         "topic_weights": _hex_vector(model.topic_weights),
         "diagnostics": {
             "elbo_trace": _hex_vector(np.asarray(model.diagnostics.elbo_trace)),
@@ -831,23 +883,30 @@ def save_model(model: FittedModel, path) -> None:
 def load_model(path) -> FittedModel:
     """Read back a model written by save_model, verifying the magic line.
 
-    A body that does not parse, or whose arrays FittedModel rejects (wrong
-    shape for the vocabulary, non-finite or negative entries), raises
-    ModelFormatError.
+    Reads ADND2 and the older ADND1, whose topic_node is a list of hex-float
+    rows; saving the loaded model writes ADND2. A body that does not parse,
+    names labels that are not distinct strings, or whose arrays FittedModel
+    rejects (wrong shape for the vocabulary, non-finite or negative
+    entries) raises ModelFormatError.
     """
     with open(path, encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
-        if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} model file")
+        if magic not in (_MODEL_MAGIC_V1, MODEL_MAGIC):
+            raise ModelFormatError(
+                f"{path}: not a {MODEL_MAGIC} or {_MODEL_MAGIC_V1} model file"
+            )
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as err:
             raise ModelFormatError(f"{path}: malformed model body: {err}") from err
     try:
-        vocab = NodeVocab(payload["vocab_labels"]).freeze()
+        vocab = _frozen_vocab(payload["vocab_labels"])
         hyper = HyperParams(**payload["hyper"])
         trunc = TruncationLevels(**payload["trunc"])
-        topic_node = np.array([_unhex_vector(row) for row in payload["topic_node"]])
+        if magic == MODEL_MAGIC:
+            topic_node = _unpack_matrix(payload["topic_node"])
+        else:
+            topic_node = np.array([_unhex_vector(row) for row in payload["topic_node"]])
         topic_weights = _unhex_vector(payload["topic_weights"])
         diag = payload["diagnostics"]
         diagnostics = FitDiagnostics(

@@ -1,6 +1,9 @@
 """Model math: sticks, updates, bound, fitting, scoring, sampling, storage."""
 
+import base64
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from edgeanomaly.adnd import (
     update_corpus_level,
     update_document_level,
 )
-from edgeanomaly.graph_core import Edge, EdgeCorpus, NodeVocab
+from edgeanomaly.graph_core import Edge, EdgeCorpus, NodeVocab, corpus_from_pairs
 
 import oracles
 
@@ -414,10 +417,17 @@ class TestFit:
         total = float(np.sum(state.lam - HYPER.eta))
         assert abs(total - 2.0 * corpus.n) <= 1e-6 * 2.0 * corpus.n
 
-    def test_freezes_vocab(self):
-        corpus = small_corpus(seed=1)
-        fit(corpus, HYPER, SMALL_TRUNC, seed=0)
-        assert corpus.vocab.frozen
+    def test_freezes_a_copy_of_the_vocab(self):
+        sampled = small_corpus(seed=1)
+        vocab = NodeVocab(sampled.vocab.labels)
+        corpus = EdgeCorpus(sampled.senders, sampled.receivers, vocab)
+        model = fit(corpus, HYPER, SMALL_TRUNC, seed=0)
+        assert not vocab.frozen
+        assert model.vocab.frozen
+        assert model.vocab.labels == vocab.labels
+        assert corpus_from_pairs([("n0", "late")], vocab).receivers[0] == 10
+        assert model.num_nodes == 10
+        assert model.vocab.num_nodes == 10
 
 
 class TestPredictiveLogLikelihood:
@@ -677,7 +687,7 @@ class TestSerialization:
         model = fit(corpus, HYPER, SMALL_TRUNC, seed=0)
         path = tmp_path / "model.adnd"
         save_model(model, path)
-        assert path.read_text().splitlines()[0] == "ADND1"
+        assert path.read_text().splitlines()[0] == "ADND2"
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.adnd"
@@ -702,23 +712,152 @@ class TestSerialization:
                 model, edge
             )
 
-    def _saved_payload(self, tmp_path):
+    def _saved_payload(self, tmp_path, writer=save_model):
         model = fit(small_corpus(seed=47), HYPER, SMALL_TRUNC, seed=0)
         path = tmp_path / "model.adnd"
-        save_model(model, path)
+        writer(model, path)
         magic, body = path.read_text().split("\n", 1)
         return path, magic, json.loads(body)
+
+    @staticmethod
+    def _rewrite(path, magic, payload):
+        path.write_text(magic + "\n" + json.dumps(payload) + "\n")
 
     def test_vocabulary_not_matching_columns_rejected(self, tmp_path):
         path, magic, payload = self._saved_payload(tmp_path)
         payload["vocab_labels"] = payload["vocab_labels"][:-1]
-        path.write_text(magic + "\n" + json.dumps(payload) + "\n")
+        self._rewrite(path, magic, payload)
         with pytest.raises(ModelFormatError, match="topic_node has shape"):
+            load_model(path)
+
+    @pytest.mark.parametrize("writer", [save_model, oracles.save_model_v1])
+    def test_non_string_labels_rejected(self, tmp_path, writer):
+        path, magic, payload = self._saved_payload(tmp_path, writer)
+        payload["vocab_labels"] = list(range(len(payload["vocab_labels"])))
+        self._rewrite(path, magic, payload)
+        with pytest.raises(ModelFormatError, match="list of strings"):
+            load_model(path)
+
+    @pytest.mark.parametrize("writer", [save_model, oracles.save_model_v1])
+    def test_duplicate_labels_rejected(self, tmp_path, writer):
+        path, magic, payload = self._saved_payload(tmp_path, writer)
+        payload["vocab_labels"][-1] = payload["vocab_labels"][0]
+        self._rewrite(path, magic, payload)
+        with pytest.raises(ModelFormatError, match="duplicate labels"):
             load_model(path)
 
     def test_nan_entry_rejected(self, tmp_path):
         path, magic, payload = self._saved_payload(tmp_path)
-        payload["topic_node"][0][0] = float("nan").hex()
-        path.write_text(magic + "\n" + json.dumps(payload) + "\n")
+        packed = payload["topic_node"]
+        values = np.frombuffer(base64.b64decode(packed["data"]), dtype="<f8").copy()
+        values[0] = np.nan
+        packed["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+        self._rewrite(path, magic, payload)
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(path)
+
+    def test_nan_entry_rejected_v1(self, tmp_path):
+        path, magic, payload = self._saved_payload(tmp_path, oracles.save_model_v1)
+        payload["topic_node"][0][0] = float("nan").hex()
+        self._rewrite(path, magic, payload)
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("data", "not base64!", "base64"),
+            ("dtype", "<f4", "dtype"),
+            ("dtype", ">f8", "dtype"),
+            ("shape", [6, 12], "bytes"),
+            ("shape", [6, 11.0], "list of sizes"),
+        ],
+    )
+    def test_malformed_packed_topics_rejected(self, tmp_path, field, value, message):
+        path, magic, payload = self._saved_payload(tmp_path)
+        assert payload["topic_node"]["shape"] == [6, 11]
+        payload["topic_node"][field] = value
+        self._rewrite(path, magic, payload)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_file_layout(self, tmp_path):
+        model = fit(small_corpus(seed=47), HYPER, SMALL_TRUNC, seed=0)
+        path = tmp_path / "model.adnd"
+        save_model(model, path)
+        payload = json.loads(path.read_text().split("\n", 1)[1])
+        assert payload["version"] == 2
+        packed = payload["topic_node"]
+        assert set(packed) == {"dtype", "shape", "data"}
+        assert packed["dtype"] == "<f8"
+        assert packed["shape"] == [6, 11]
+        raw = base64.b64decode(packed["data"])
+        assert raw == model.topic_node.astype("<f8").tobytes(order="C")
+        assert payload["topic_weights"] == [float(v).hex() for v in model.topic_weights]
+
+
+@st.composite
+def stored_models(draw):
+    """Small FittedModels with exact zeros, random labels and ELBO traces."""
+    k_h = draw(st.integers(2, 6))
+    num_nodes = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.7]))
+
+    def simplex_rows(rows, cols):
+        values = rng.dirichlet(np.ones(cols), size=rows)
+        zeros = rng.uniform(size=values.shape) < zero_share
+        zeros[np.arange(rows), values.argmax(axis=1)] = False
+        values[zeros] = 0.0
+        return values / values.sum(axis=1, keepdims=True)
+
+    labels = draw(st.lists(st.text(max_size=6), min_size=num_nodes,
+                           max_size=num_nodes, unique=True))
+    positive = st.floats(1e-3, 1e3)
+    trace = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=8))
+    return FittedModel(
+        topic_node=simplex_rows(k_h, num_nodes + 1),
+        topic_weights=simplex_rows(1, k_h)[0],
+        vocab=NodeVocab(labels).freeze(),
+        hyper=HyperParams(eta=draw(positive), gamma=draw(positive), tau=draw(positive)),
+        trunc=TruncationLevels(k_h=k_h, k_a=draw(st.integers(1, k_h)),
+                               k_b=draw(st.integers(1, k_h))),
+        diagnostics=FitDiagnostics(tuple(trace), len(trace), draw(st.booleans())),
+    )
+
+
+class TestSerializationRoundTrip:
+    @staticmethod
+    def assert_same_model(loaded, model):
+        assert loaded.topic_node.tobytes() == model.topic_node.tobytes()
+        assert loaded.topic_weights.tobytes() == model.topic_weights.tobytes()
+        assert loaded.vocab.labels == model.vocab.labels
+        assert loaded.vocab.frozen
+        assert loaded.hyper == model.hyper
+        assert loaded.trunc == model.trunc
+        assert loaded.diagnostics == model.diagnostics
+
+    @settings(max_examples=60, deadline=None)
+    @given(stored_models())
+    def test_v2_round_trip_and_resave(self, model):
+        with tempfile.TemporaryDirectory() as scratch:
+            first, again = Path(scratch) / "a.adnd", Path(scratch) / "b.adnd"
+            save_model(model, first)
+            loaded = load_model(first)
+            self.assert_same_model(loaded, model)
+            save_model(loaded, again)
+            assert again.read_bytes() == first.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(stored_models())
+    def test_v1_file_loads_and_resaves_as_v2(self, model):
+        with tempfile.TemporaryDirectory() as scratch:
+            old, upgraded, direct = (Path(scratch) / name for name in ("1", "2", "3"))
+            oracles.save_model_v1(model, old)
+            loaded = load_model(old)
+            self.assert_same_model(loaded, model)
+            save_model(loaded, upgraded)
+            save_model(model, direct)
+            assert upgraded.read_text().startswith("ADND2\n")
+            assert upgraded.read_bytes() == direct.read_bytes()

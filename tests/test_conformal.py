@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgeanomaly.adnd import HyperParams, TruncationLevels, fit, sample_edges
 from edgeanomaly.conformal import (
@@ -166,6 +168,50 @@ class TestConformalPValue:
         for eps in (0.1, 0.3):
             rate = np.mean(p <= eps)
             assert rate <= eps + 3.0 * np.sqrt(eps * (1 - eps) / trials)
+
+
+# Few distinct values, so ties between calibration and test scores are common.
+_SCORES = st.one_of(
+    st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+# From 2**-53, the least positive draw of numpy's uniform, which detect uses:
+# a subnormal u could round u * ties / (n + 1) down to a p-value of 0.
+_U = st.floats(2.0**-53, 1.0, exclude_max=True)
+_ORIENTATIONS = st.sampled_from(["power-corrected", "paper"])
+
+
+@st.composite
+def _p_value_cases(draw):
+    calib = draw(st.lists(_SCORES, min_size=1, max_size=30))
+    tests = draw(st.lists(_SCORES, min_size=1, max_size=12))
+    u_draws = draw(st.lists(_U, min_size=len(tests), max_size=len(tests)))
+    return np.array(calib), np.array(tests), np.array(u_draws), draw(_ORIENTATIONS)
+
+
+class TestConformalPValueProperties:
+    @given(_p_value_cases())
+    def test_in_half_open_unit_interval(self, case):
+        calib, tests, u_draws, orientation = case
+        p = conformal_p_values(tests, calib, u_draws, orientation)
+        assert np.all(p > 0.0) and np.all(p <= 1.0)
+
+    @given(_p_value_cases(), st.randoms(use_true_random=False))
+    def test_calibration_order_does_not_matter(self, case, random):
+        calib, tests, u_draws, orientation = case
+        shuffled = calib.tolist()
+        random.shuffle(shuffled)
+        np.testing.assert_array_equal(
+            conformal_p_values(tests, np.array(shuffled), u_draws, orientation),
+            conformal_p_values(tests, calib, u_draws, orientation),
+        )
+
+    @given(_p_value_cases())
+    def test_equals_scalar_form_entry_by_entry(self, case):
+        calib, tests, u_draws, orientation = case
+        batch = conformal_p_values(tests, calib, u_draws, orientation)
+        for p, test_score, u in zip(batch.tolist(), tests.tolist(), u_draws.tolist()):
+            assert p == conformal_p_value(test_score, calib, u, orientation)
 
 
 class TestFullConformal:
