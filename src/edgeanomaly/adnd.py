@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, xlogy
+import scipy
 
 from .graph_core import Edge, EdgeCorpus, NodeVocab
 
@@ -136,9 +136,9 @@ def expected_log_sticks(shape_a, shape_b) -> np.ndarray:
         raise ValueError("stick parameters must be equal-length vectors")
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("stick parameters must be positive")
-    both = digamma(a + b)
-    log_fraction = digamma(a) - both
-    log_leftover = digamma(b) - both
+    both = scipy.special.digamma(a + b)
+    log_fraction = scipy.special.digamma(a) - both
+    log_leftover = scipy.special.digamma(b) - both
     out = np.zeros(a.size + 1)
     out[:-1] = log_fraction
     out[1:] += np.cumsum(log_leftover)
@@ -162,7 +162,9 @@ def stick_posterior(responsibilities, concentration: float):
 
 def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
     """Rowwise E[log p] for Dirichlet-distributed rows with parameters alpha."""
-    return digamma(alpha) - digamma(alpha.sum(axis=-1, keepdims=True))
+    return scipy.special.digamma(alpha) - scipy.special.digamma(
+        alpha.sum(axis=-1, keepdims=True)
+    )
 
 
 def _exp_normalize(logits: np.ndarray) -> np.ndarray:
@@ -188,15 +190,12 @@ def _incidence(tokens: np.ndarray, dim: int):
 
     Each row's edges are in ascending order (a stable argsort), so a product
     with it adds up every row's terms in edge order, the order of a
-    sequential scatter-add. scipy.sparse is imported here, not at module
-    top, since only the fit needs it.
+    sequential scatter-add.
     """
-    from scipy.sparse import csr_array
-
     indptr = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(tokens, minlength=dim), out=indptr[1:])
     edges = np.argsort(tokens, kind="stable")
-    return csr_array((np.ones(tokens.size), edges, indptr), shape=(dim, tokens.size))
+    return scipy.sparse.csr_array((np.ones(tokens.size), edges, indptr), shape=(dim, tokens.size))
 
 
 def _token_counts(incidence, edge_resp: np.ndarray) -> np.ndarray:
@@ -400,8 +399,8 @@ class _Sweep:
     def set_topics(self, lam: np.ndarray) -> None:
         # dirichlet_log_expectation(lam), keeping the digamma terms that the
         # Dirichlet entropy reuses
-        self.digamma_lam = digamma(lam)
-        self.elog_topic = self.digamma_lam - digamma(lam.sum(axis=-1, keepdims=True))
+        self.digamma_lam = scipy.special.digamma(lam)
+        self.elog_topic = self.digamma_lam - scipy.special.digamma(lam.sum(axis=-1, keepdims=True))
 
     def set_corpus_sticks(self, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
         self.elog_corpus = expected_log_sticks(shape_a, shape_b)
@@ -486,17 +485,17 @@ def update_corpus_level(
 
 
 def _categorical_entropy(rows: np.ndarray) -> float:
-    return float(-xlogy(rows, rows).sum())
+    return float(-scipy.special.xlogy(rows, rows).sum())
 
 
 def _beta_entropy(shape_a: np.ndarray, shape_b: np.ndarray) -> float:
     total = shape_a + shape_b
     return float(
         np.sum(
-            betaln(shape_a, shape_b)
-            - (shape_a - 1.0) * digamma(shape_a)
-            - (shape_b - 1.0) * digamma(shape_b)
-            + (total - 2.0) * digamma(total)
+            scipy.special.betaln(shape_a, shape_b)
+            - (shape_a - 1.0) * scipy.special.digamma(shape_a)
+            - (shape_b - 1.0) * scipy.special.digamma(shape_b)
+            + (total - 2.0) * scipy.special.digamma(total)
         )
     )
 
@@ -507,9 +506,9 @@ def _dirichlet_entropy(alpha: np.ndarray, digamma_alpha: np.ndarray) -> float:
     dim = alpha.shape[1]
     return float(
         np.sum(
-            gammaln(alpha).sum(axis=1)
-            - gammaln(alpha0)
-            + (alpha0 - dim) * digamma(alpha0)
+            scipy.special.gammaln(alpha).sum(axis=1)
+            - scipy.special.gammaln(alpha0)
+            + (alpha0 - dim) * scipy.special.digamma(alpha0)
             - ((alpha - 1.0) * digamma_alpha).sum(axis=1)
         )
     )
@@ -519,7 +518,7 @@ def _stick_prior_term(shape_a, shape_b, concentration: float) -> float:
     """E[log Beta(fraction; 1, c)] summed over sticks, dropping nothing."""
     if shape_a.size == 0:
         return 0.0
-    elog_leftover = digamma(shape_b) - digamma(shape_a + shape_b)
+    elog_leftover = scipy.special.digamma(shape_b) - scipy.special.digamma(shape_a + shape_b)
     return float(
         shape_a.size * np.log(concentration) + (concentration - 1.0) * elog_leftover.sum()
     )
@@ -567,7 +566,8 @@ def compute_elbo(
 
     total += _stick_prior_term(state.corpus_stick_a, state.corpus_stick_b, hyper.gamma)
     total += float(
-        state.lam.shape[0] * (gammaln(dim * hyper.eta) - dim * gammaln(hyper.eta))
+        state.lam.shape[0]
+        * (scipy.special.gammaln(dim * hyper.eta) - dim * scipy.special.gammaln(hyper.eta))
         + (hyper.eta - 1.0) * elog_topic.sum()
     )
     total += _beta_entropy(state.corpus_stick_a, state.corpus_stick_b)
@@ -852,6 +852,20 @@ def _frozen_vocab(labels) -> NodeVocab:
     return vocab
 
 
+def _diagnostics(diag) -> FitDiagnostics:
+    """The fit diagnostics a model file holds, checked, not coerced: converged
+    is a JSON boolean and sweeps a JSON integer equal to the trace length."""
+    elbo_trace = tuple(_unhex_vector(diag["elbo_trace"]).tolist())
+    converged, sweeps = diag["converged"], diag["sweeps"]
+    if type(converged) is not bool:
+        raise ValueError(f"diagnostics converged {converged!r} is not a boolean")
+    if type(sweeps) is not int or sweeps != len(elbo_trace):
+        raise ValueError(
+            f"diagnostics sweeps {sweeps!r} is not the ELBO trace length {len(elbo_trace)}"
+        )
+    return FitDiagnostics(elbo_trace=elbo_trace, sweeps=sweeps, converged=converged)
+
+
 def save_model(model: FittedModel, path) -> None:
     """Write a fitted model as the ADND2 magic line plus a JSON body.
 
@@ -885,9 +899,10 @@ def load_model(path) -> FittedModel:
 
     Reads ADND2 and the older ADND1, whose topic_node is a list of hex-float
     rows; saving the loaded model writes ADND2. A body that does not parse,
-    names labels that are not distinct strings, or whose arrays FittedModel
-    rejects (wrong shape for the vocabulary, non-finite or negative
-    entries) raises ModelFormatError.
+    names labels that are not distinct strings, holds diagnostics of the
+    wrong JSON type or a sweep count unequal to the ELBO trace length, or
+    whose arrays FittedModel rejects (wrong shape for the vocabulary,
+    non-finite or negative entries) raises ModelFormatError.
     """
     with open(path, encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
@@ -908,12 +923,7 @@ def load_model(path) -> FittedModel:
         else:
             topic_node = np.array([_unhex_vector(row) for row in payload["topic_node"]])
         topic_weights = _unhex_vector(payload["topic_weights"])
-        diag = payload["diagnostics"]
-        diagnostics = FitDiagnostics(
-            elbo_trace=tuple(_unhex_vector(diag["elbo_trace"]).tolist()),
-            sweeps=int(diag["sweeps"]),
-            converged=bool(diag["converged"]),
-        )
+        diagnostics = _diagnostics(payload["diagnostics"])
         return FittedModel(
             topic_node=topic_node,
             topic_weights=topic_weights,

@@ -117,6 +117,19 @@ def _calibration_array(calib) -> np.ndarray:
     return scores
 
 
+# The least positive value numpy's uniform draws (k * 2**-53 for integer k).
+# A smaller smoothing draw can round a p-value down to 0.0, outside (0, 1].
+_U_MIN = 2.0**-53
+
+
+def _check_u(u_draws) -> np.ndarray:
+    """The smoothing draws as an array; each must lie in [_U_MIN, 1)."""
+    u_draws = np.asarray(u_draws, dtype=float)
+    if not np.all((u_draws >= _U_MIN) & (u_draws < 1.0)):
+        raise ValueError("u draws must lie in [2**-53, 1)")
+    return u_draws
+
+
 def conformal_p_value(
     score: float, calib, u: float, orientation: str = "power-corrected"
 ) -> float:
@@ -126,13 +139,13 @@ def conformal_p_value(
     itself, so the tie count is always at least one. With n calibration
     scores the result is (strict + u * ties) / (n + 1), where strict counts
     pooled scores strictly above the test score for "power-corrected" and
-    strictly below it for "paper".
+    strictly below it for "paper". u must lie in [2**-53, 1), which holds
+    every positive draw of numpy's uniform.
     """
     scores = _calibration_array(calib)
     if not np.isfinite(score):
         raise ValueError("test score must be finite")
-    if not 0.0 < u < 1.0:
-        raise ValueError("u must lie strictly between 0 and 1")
+    _check_u(u)
     _check_orientation(orientation)
     ties = int(np.count_nonzero(scores == score)) + 1
     if orientation == "paper":
@@ -170,11 +183,9 @@ def conformal_p_values(
     test_scores = np.asarray(test_scores, dtype=float)
     if not np.all(np.isfinite(test_scores)):
         raise ValueError("test scores must be finite")
-    u_draws = np.asarray(u_draws, dtype=float)
+    u_draws = _check_u(u_draws)
     if u_draws.shape != test_scores.shape:
         raise ValueError("u_draws must match test_scores in shape")
-    if np.any(u_draws <= 0.0) or np.any(u_draws >= 1.0):
-        raise ValueError("u draws must lie strictly between 0 and 1")
     strict, ties = _counts(scores, test_scores, orientation)
     return (strict + u_draws * (ties + 1)) / (scores.size + 1)
 
@@ -193,7 +204,7 @@ def full_conformal_p_values(
         raise ValueError("need at least two scores")
     if np.any(np.isnan(scores)):
         raise ValueError("scores must not be NaN")
-    u_draws = np.asarray(u_draws, dtype=float)
+    u_draws = _check_u(u_draws)
     if u_draws.shape != scores.shape:
         raise ValueError("u_draws must match scores in shape")
     strict, ties = _counts(scores, scores, orientation)

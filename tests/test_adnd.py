@@ -763,6 +763,33 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(path)
 
+    # A bool() or int() of these loaded before: "false" as converged=True and
+    # 2.9 as sweeps=2 beside a longer ELBO trace.
+    @pytest.mark.parametrize("writer", [save_model, oracles.save_model_v1])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("converged", "false"),
+            ("converged", 1),
+            ("converged", None),
+            ("sweeps", 2.9),
+            ("sweeps", True),
+            ("sweeps", "3"),
+            ("sweeps", "len+1"),  # one more than the ELBO trace holds
+            ("sweeps", "len-1"),
+        ],
+    )
+    def test_malformed_diagnostics_rejected(self, tmp_path, writer, field, value):
+        path, magic, payload = self._saved_payload(tmp_path, writer)
+        diag = payload["diagnostics"]
+        assert diag["sweeps"] == len(diag["elbo_trace"]) > 1
+        if value in ("len+1", "len-1"):
+            value = len(diag["elbo_trace"]) + (1 if value == "len+1" else -1)
+        diag[field] = value
+        self._rewrite(path, magic, payload)
+        with pytest.raises(ModelFormatError, match=f"diagnostics {field}"):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "field,value,message",
         [

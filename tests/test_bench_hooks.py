@@ -10,6 +10,7 @@ so the traced commands are also run here and their figures checked.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -46,35 +47,53 @@ def _rows(path) -> int:
     return len(path.read_text().splitlines()) - 1  # minus the header
 
 
-def test_traced_commands_report_per_edge_figures(tmp_path):
+def _fitted_pipeline(tmp_path):
+    """Synthesize train, calibration and test files and fit a model on them."""
     p = {name: str(tmp_path / name) for name in (
         "train.csv", "calib.csv", "test.csv", "model.adnd",
         "verdicts.csv", "alphas.csv", "baseline.csv")}
     for argv in (
-        ["synth", "--nodes", "12", "--edges", "150", "--seed", "1", "--out", p["train.csv"]],
+        _synth_argv(p),
         ["synth", "--nodes", "12", "--edges", "40", "--seed", "2", "--out", p["calib.csv"]],
         ["synth", "--nodes", "15", "--edges", "30", "--anomalous", "6", "--seed", "3",
          "--out", p["test.csv"]],
-        ["fit", "--train", p["train.csv"], "--model", p["model.adnd"], "--kh", "4",
-         "--ka", "2", "--kb", "2", "--max-sweeps", "5"],
+        _fit_argv(p),
     ):
         assert cli.main(argv) == 0
+    return p
 
+
+def _synth_argv(p):
+    return ["synth", "--nodes", "12", "--edges", "150", "--seed", "1", "--out", p["train.csv"]]
+
+
+def _fit_argv(p):
+    return ["fit", "--train", p["train.csv"], "--model", p["model.adnd"], "--kh", "4",
+            "--ka", "2", "--kb", "2", "--max-sweeps", "5"]
+
+
+def _scoring_argvs(p, tmp_path):
+    """The commands that read a fitted model or score edges, in pipeline order."""
+    return [
+        ["detect", "--model", p["model.adnd"], "--calib", p["calib.csv"],
+         "--test", p["test.csv"], "--out", p["verdicts.csv"]],
+        ["score", "--model", p["model.adnd"], "--edges", p["test.csv"],
+         "--out", p["alphas.csv"]],
+        ["rhss", "--train", p["train.csv"], "--test", p["test.csv"],
+         "--out", p["baseline.csv"]],
+        ["eval", "--scores", p["verdicts.csv"], "--labels", p["test.csv"],
+         "--out-prefix", str(tmp_path / "run")],
+    ]
+
+
+def test_traced_commands_report_per_edge_figures(tmp_path):
+    p = _fitted_pipeline(tmp_path)
     tracer = tracing.Tracer()
     installed = tracing.Installed(tracer, "edgeanomaly", -adnd.LOG_FLOOR)
     try:
         assert installed.absent == []
-        for command, argv in (
-            ("detect", ["detect", "--model", p["model.adnd"], "--calib", p["calib.csv"],
-                        "--test", p["test.csv"], "--out", p["verdicts.csv"]]),
-            ("score", ["score", "--model", p["model.adnd"], "--edges", p["test.csv"],
-                       "--out", p["alphas.csv"]]),
-            ("rhss", ["rhss", "--train", p["train.csv"], "--test", p["test.csv"],
-                      "--out", p["baseline.csv"]]),
-            ("eval", ["eval", "--scores", p["verdicts.csv"], "--labels", p["test.csv"],
-                      "--out-prefix", str(tmp_path / "run")]),
-        ):
-            span = tracer.begin("cli." + command)  # the root span run.py opens
+        for argv in _scoring_argvs(p, tmp_path):
+            span = tracer.begin("cli." + argv[0])  # the root span run.py opens
             try:
                 assert cli.main(argv) == 0
             finally:
@@ -120,12 +139,51 @@ def test_traced_fit_reports_per_sweep_figures(tmp_path):
     assert set(per_block.values()) == {sweeps}, per_block
 
 
-def test_cold_cli_import_leaves_scipy_sparse_unloaded():
-    # the benchmark's setup_s times this import; only the fit needs scipy.sparse
+# The benchmark's setup_s times a cold import of the CLI. Only fit and
+# fpr-sim need scipy's special functions and sparse matrices, so everything
+# else must leave them unloaded.
+_FIT_ONLY = ("scipy.special", "scipy.sparse")
+
+# Runs each argv list given as JSON through cli.main in this one interpreter,
+# then prints which of _FIT_ONLY got loaded as its last line.
+_RUN_COMMANDS = """
+import json, sys
+from edgeanomaly import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} exited non-zero")
+print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
+"""
+
+
+def _fresh_python(*args):
+    """Run python with src/ on the path; return its last stdout line as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(_ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, edgeanomaly.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _loaded_after(argvs):
+    return _fresh_python("-c", _RUN_COMMANDS, json.dumps(argvs), json.dumps(_FIT_ONLY))
+
+
+def test_cold_cli_import_leaves_scipy_sparse_unloaded():
+    for module in ("edgeanomaly.cli", "edgeanomaly"):
+        code = (f"import json, sys, {module}; "
+                f"print(json.dumps([m for m in {list(_FIT_ONLY)!r} if m in sys.modules]))")
+        assert _fresh_python("-c", code) == [], f"import {module} loads them"
+
+
+def test_scoring_commands_leave_fit_modules_unloaded(tmp_path):
+    p = _fitted_pipeline(tmp_path)
+    assert _loaded_after([_synth_argv(p)] + _scoring_argvs(p, tmp_path)) == []
+
+
+def test_fit_loads_fit_modules(tmp_path):
+    # the control: the subprocess check above can see these imports at all
+    p = {"train.csv": str(tmp_path / "train.csv"), "model.adnd": str(tmp_path / "model.adnd")}
+    assert _loaded_after([_synth_argv(p), _fit_argv(p)]) == list(_FIT_ONLY)

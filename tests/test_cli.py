@@ -1,7 +1,12 @@
 """End-to-end command line behavior: pipelines, exit codes, config handling."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edgeanomaly.adnd import load_model
@@ -278,3 +283,43 @@ class TestExitCodes:
         assert main(["detect", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--epsilon" in out and "--orientation" in out
+
+
+class TestReproducibility:
+    """Equal seeds give bit-identical fits at a fixed BLAS thread count, and
+    fits at different thread counts agree to a stated tolerance."""
+
+    # Threaded BLAS products may add up in another order, so bits can differ
+    # across thread counts: 3 sweeps of the benchmark's wide_fit workload gave
+    # final ELBOs 2.5e-16 apart in relative terms.
+    ELBO_RTOL = 1e-12
+
+    @staticmethod
+    def _fit_in_subprocess(train, model, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "edgeanomaly", "fit", "--train", str(train),
+             "--model", str(model), "--seed", "0", "--max-sweeps", "3", "--rel-tol", "1e-300"],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        return load_model(model)
+
+    def test_fit_agrees_across_blas_thread_counts(self, tmp_path):
+        # a few thousand edges over hundreds of nodes, so the topic products
+        # are wide enough for BLAS to split
+        rng = np.random.default_rng(11)
+        pairs = rng.zipf(1.6, size=(4000, 2)) % 1500
+        train = tmp_path / "train.csv"
+        train.write_text("src,dst\n" + "".join(f"n{s},n{d}\n" for s, d in pairs))
+
+        one = self._fit_in_subprocess(train, tmp_path / "one.adnd", 1)
+        one_again = self._fit_in_subprocess(train, tmp_path / "one_again.adnd", 1)
+        two = self._fit_in_subprocess(train, tmp_path / "two.adnd", 2)
+
+        assert (tmp_path / "one.adnd").read_bytes() == (tmp_path / "one_again.adnd").read_bytes()
+        assert one.diagnostics.sweeps == two.diagnostics.sweeps == 3
+        assert two.diagnostics.elbo_trace[-1] == pytest.approx(
+            one.diagnostics.elbo_trace[-1], rel=self.ELBO_RTOL, abs=0.0
+        )

@@ -65,6 +65,28 @@ class TestConformalPValue:
         with pytest.raises(ValueError):
             conformal_p_value(1.0, self.CALIB, u)
 
+    # A subnormal draw rounded the p-value down to exactly 0.0 in the scalar
+    # and vector forms: calibration [-1.0], test score 0.0, u = 5e-324.
+    @pytest.mark.parametrize(
+        "u", [5e-324, np.nextafter(0.0, 1.0), 2.0**-54, np.nan],
+        ids=["5e-324", "nextafter", "2**-54", "nan"],
+    )
+    def test_u_below_least_uniform_draw_rejected_by_every_form(self, u):
+        with pytest.raises(ValueError, match="u draws"):
+            conformal_p_value(0.0, [-1.0], u)
+        with pytest.raises(ValueError, match="u draws"):
+            conformal_p_values([0.0], [-1.0], [u])
+        with pytest.raises(ValueError, match="u draws"):
+            full_conformal_p_values([0.0, -1.0], [u, 0.5])
+
+    def test_least_uniform_draw_gives_positive_p_value(self):
+        u = 2.0**-53
+        # the test score is the lone extreme of two, so every p-value is u / 2
+        for orientation, calib in (("power-corrected", [-1.0]), ("paper", [1.0])):
+            assert conformal_p_value(0.0, calib, u, orientation) > 0.0
+            assert conformal_p_values([0.0], calib, [u], orientation)[0] > 0.0
+            assert full_conformal_p_values([0.0] + calib, [u, 0.5], orientation)[0] > 0.0
+
     def test_unknown_orientation_raises(self):
         with pytest.raises(ValueError):
             conformal_p_value(1.0, self.CALIB, 0.5, "sideways")
