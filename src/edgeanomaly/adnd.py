@@ -153,7 +153,11 @@ def stick_posterior(responsibilities, concentration: float):
     (K-1,) shape vectors.
     """
     resp = np.asarray(responsibilities, dtype=float)
-    column_mass = resp.sum(axis=0)
+    return _stick_shapes(resp.sum(axis=0), concentration)
+
+
+def _stick_shapes(column_mass: np.ndarray, concentration: float):
+    """stick_posterior's shapes from the responsibility matrix's column sums."""
     tail_mass = np.cumsum(column_mass[::-1])[::-1]
     shape_a = 1.0 + column_mass[:-1]
     shape_b = concentration + tail_mass[1:]
@@ -170,8 +174,8 @@ def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
 def _exp_normalize(logits: np.ndarray) -> np.ndarray:
     """Rowwise softmax, stabilized by subtracting each row's maximum.
 
-    Works in place on logits, which callers pass as a fresh temporary, so an
-    (n, k) edge-responsibility update holds one such buffer, not three.
+    Works in place on logits, which callers pass as a fresh temporary, so a
+    responsibility update holds one such buffer, not three.
     """
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
@@ -365,17 +369,25 @@ def init_state(
 class _Sweep:
     """Values a fit's blocks share instead of recomputing, one carrier per fit.
 
-    Each derived value is written by the block that changes its source: the
-    per-side token counts by the document update, which changes the edge
-    responsibilities; digamma(lam), the topics' E[log p] and the corpus
-    stick expectations by the corpus update, which changes lam and the
-    corpus sticks. The incidence matrices depend only on the corpus.
+    Each derived value is written by the block that changes its source. The
+    document update changes the edge responsibilities and the per-side
+    sticks, so it writes each side's token counts, the entropy of the edge
+    responsibilities, their column mass, and the expected log stick weights.
+    The corpus update changes lam and the corpus sticks, so it writes
+    digamma(lam), the topics' E[log p] and the corpus stick expectations.
+    The incidence matrices depend only on the corpus.
     """
 
     send_incidence: object
     recv_incidence: object
     send_counts: np.ndarray = field(init=False)
     recv_counts: np.ndarray = field(init=False)
+    send_entropy: float = field(init=False)
+    recv_entropy: float = field(init=False)
+    send_mass: np.ndarray = field(init=False)
+    recv_mass: np.ndarray = field(init=False)
+    send_elog_sticks: np.ndarray = field(init=False)
+    recv_elog_sticks: np.ndarray = field(init=False)
     digamma_lam: np.ndarray = field(init=False)
     elog_topic: np.ndarray = field(init=False)
     elog_corpus: np.ndarray = field(init=False)
@@ -383,18 +395,39 @@ class _Sweep:
     @classmethod
     def start(cls, state: VariationalState, corpus: EdgeCorpus) -> _Sweep:
         """A carrier whose derived values all match the given state."""
+        sweep = cls.for_fit(state, corpus)
+        for side in ("send", "recv"):
+            edge_resp = getattr(state, f"{side}_edge_resp")
+            sweep.set_edges(side, edge_resp, _categorical_entropy(edge_resp))
+        return sweep
+
+    @classmethod
+    def for_fit(cls, state: VariationalState, corpus: EdgeCorpus) -> _Sweep:
+        """A carrier holding what a fit's first document update reads.
+
+        The values derived from the edge responsibilities are left unset:
+        that update replaces the initial responsibilities before anything
+        reads them.
+        """
         dim = state.lam.shape[1]
         sweep = cls(_incidence(corpus.senders, dim), _incidence(corpus.receivers, dim))
-        sweep.count("send", state.send_edge_resp)
-        sweep.count("recv", state.recv_edge_resp)
+        for side in ("send", "recv"):
+            sweep.set_sticks(
+                side, getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b")
+            )
         sweep.set_topics(state.lam)
         sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
         return sweep
 
-    def count(self, side: str, edge_resp: np.ndarray) -> np.ndarray:
+    def set_edges(self, side: str, edge_resp: np.ndarray, entropy: float) -> None:
+        """Store one side's token counts, column mass and given entropy."""
         counts = _token_counts(getattr(self, f"{side}_incidence"), edge_resp)
         setattr(self, f"{side}_counts", counts)
-        return counts
+        setattr(self, f"{side}_mass", edge_resp.sum(axis=0))
+        setattr(self, f"{side}_entropy", entropy)
+
+    def set_sticks(self, side: str, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
+        setattr(self, f"{side}_elog_sticks", expected_log_sticks(shape_a, shape_b))
 
     def set_topics(self, lam: np.ndarray) -> None:
         # dirichlet_log_expectation(lam), keeping the digamma terms that the
@@ -421,29 +454,40 @@ def update_document_level(
     topic by responsibility-weighted token scores plus the corpus stick
     expectation; stick shapes then absorb the new responsibilities.
 
-    Inside fit_state, the topics' E[log p] and the corpus stick expectation
-    come from the sweep carrier, where the previous corpus update (or the
-    initial state) left them. Called alone, they are computed from the
-    state. Either way each side's token counts are computed here, once, from
-    the new edge responsibilities, and stored on the carrier for the corpus
-    update and the bound.
+    An edge's logits depend only on its token, so each side normalizes one
+    row per node slot, a (W+1, k) matrix, and gathers every edge's row from
+    it. The slot logits are built C-ordered: each row is then summed the way
+    numpy sums the rows of the per-edge (n, k) logits, so the responsibilities
+    are the same bits as normalizing every edge's row. The entropy of the
+    edge responsibilities is gathered the same way from the slot rows' terms.
+
+    Inside fit_state, the topics' E[log p], the corpus stick expectation and
+    each side's stick expectation come from the sweep carrier, where the
+    previous updates (or the initial state) left them. Called alone, they
+    are computed from the state. Either way this block stores on the carrier
+    each side's token counts, edge-responsibility entropy and column mass,
+    for the corpus update and the bound, and the new sticks' expectations,
+    for the bound and the next document update.
     """
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
     elog_topic = sweep.elog_topic
 
     for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers)):
         topic_resp = getattr(state, f"{side}_topic_resp")
-        elog_side = expected_log_sticks(
-            getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b")
-        )
+        elog_side = getattr(sweep, f"{side}_elog_sticks")
 
         atom_token_score = topic_resp @ elog_topic
-        edge_resp = _exp_normalize(atom_token_score[:, tokens].T + elog_side)
+        slot_resp = _exp_normalize(np.add(atom_token_score.T, elog_side, order="C"))
+        edge_resp = np.take(slot_resp, tokens, axis=0)
+        slot_terms = scipy.special.xlogy(slot_resp, slot_resp)
+        entropy = float(-np.take(slot_terms, tokens, axis=0).sum())
+        sweep.set_edges(side, edge_resp, entropy)
 
-        counts = sweep.count(side, edge_resp)
+        counts = getattr(sweep, f"{side}_counts")
         topic_resp = _exp_normalize(counts @ elog_topic.T + sweep.elog_corpus)
 
-        shape_a, shape_b = stick_posterior(edge_resp, hyper.tau)
+        shape_a, shape_b = _stick_shapes(getattr(sweep, f"{side}_mass"), hyper.tau)
+        sweep.set_sticks(side, shape_a, shape_b)
         setattr(state, f"{side}_edge_resp", edge_resp)
         setattr(state, f"{side}_topic_resp", topic_resp)
         setattr(state, f"{side}_stick_a", shape_a)
@@ -537,10 +581,12 @@ def compute_elbo(
     assignments and sticks, the shared stick and topic priors, and the
     entropies of every variational factor. Finite for any valid state.
 
-    Inside fit_state, the token counts, digamma(lam), the topics' E[log p]
-    and the corpus stick expectations come from the sweep carrier, where
-    this sweep's document and corpus updates stored them. Called alone, all
-    of them are computed from the state.
+    Inside fit_state, every value derived from the edge responsibilities
+    (each side's token counts, entropy and column mass), each side's and the
+    corpus stick expectations, digamma(lam) and the topics' E[log p] come
+    from the sweep carrier, where this sweep's document and corpus updates
+    stored them, so the bound reads no (n, k) array. Called alone, all of
+    them are computed from the state.
     """
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
     elog_topic = sweep.elog_topic
@@ -550,18 +596,16 @@ def compute_elbo(
 
     for side in ("send", "recv"):
         topic_resp = getattr(state, f"{side}_topic_resp")
-        edge_resp = getattr(state, f"{side}_edge_resp")
         shape_a = getattr(state, f"{side}_stick_a")
         shape_b = getattr(state, f"{side}_stick_b")
-        elog_side = expected_log_sticks(shape_a, shape_b)
         counts = getattr(sweep, f"{side}_counts")
 
         total += float((topic_resp * (counts @ elog_topic.T)).sum())
         total += float((topic_resp @ elog_corpus).sum())
-        total += float(edge_resp.sum(axis=0) @ elog_side)
+        total += float(getattr(sweep, f"{side}_mass") @ getattr(sweep, f"{side}_elog_sticks"))
         total += _stick_prior_term(shape_a, shape_b, hyper.tau)
         total += _categorical_entropy(topic_resp)
-        total += _categorical_entropy(edge_resp)
+        total += getattr(sweep, f"{side}_entropy")
         total += _beta_entropy(shape_a, shape_b)
 
     total += _stick_prior_term(state.corpus_stick_a, state.corpus_stick_b, hyper.gamma)
@@ -588,15 +632,19 @@ def fit_state(
 
     One sweep is a document-level update followed by a corpus-level update.
     The three block calls share one _Sweep carrier, so each sweep counts
-    each side's tokens once and computes digamma(lam) once. Stops once the
-    bound's relative change drops below rel_tol or after max_sweeps sweeps.
+    each side's tokens once, takes each side's edge-responsibility entropy
+    and column mass once, and computes digamma(lam) and every stick
+    expectation once. The initial edge responsibilities are neither counted
+    nor summed, since the first document update replaces them. Stops once
+    the bound's relative change drops below rel_tol or after max_sweeps
+    sweeps.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     state = init_state(corpus, hyper, trunc, seed)
-    sweep = _Sweep.start(state, corpus)
+    sweep = _Sweep.for_fit(state, corpus)
     trace: list[float] = []
     converged = False
     for _ in range(max_sweeps):

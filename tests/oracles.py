@@ -26,6 +26,23 @@ def token_counts(edge_resp, tokens, dim):
     return counts.T
 
 
+def edge_responsibilities(atom_token_score, elog_side, tokens):
+    """Each edge's responsibilities over one side's atoms, shape (n, k).
+
+    The per-edge kernel that the document update ran before it normalized
+    one row per node slot: gather every edge's logits into an (n, k) matrix,
+    add the expected log stick weights, subtract each row's maximum, and
+    normalize the exponentials. numpy lays out atom_token_score[:, tokens].T
+    C-ordered, so each row sum here rounds the way numpy sums a contiguous
+    row. These are the bits the fit must reproduce; a loop could not show
+    them, since numpy sums rows of eight or more entries in blocks.
+    """
+    logits = atom_token_score[:, tokens].T + elog_side
+    logits = logits - logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def save_model_v1(model, path):
     """Write a fitted model in the ADND1 format, which save_model replaced.
 

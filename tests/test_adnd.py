@@ -299,17 +299,28 @@ class TestFusedSweep:
         corpus = small_corpus(seed=2)
         state = init_state(corpus, HYPER, SMALL_TRUNC, seed=1)
         sweep = adnd._Sweep.start(state, corpus)
-        dim = corpus.vocab.num_nodes + 1
-        assert np.array_equal(
-            sweep.send_counts, oracles.token_counts(state.send_edge_resp, corpus.senders, dim))
-        assert np.array_equal(
-            sweep.recv_counts,
-            oracles.token_counts(state.recv_edge_resp, corpus.receivers, dim))
+        _assert_carrier_matches_edges(sweep, state, corpus)
         assert np.array_equal(sweep.digamma_lam, digamma(state.lam))
         assert np.array_equal(sweep.elog_topic, dirichlet_log_expectation(state.lam))
         assert np.array_equal(
             sweep.elog_corpus,
             expected_log_sticks(state.corpus_stick_a, state.corpus_stick_b))
+
+    def test_carrier_matches_the_state_after_each_document_update_in_fit(self, monkeypatch):
+        original = adnd.update_document_level
+        checked = []
+
+        def checking(state, corpus, hyper, *, sweep=None):
+            out = original(state, corpus, hyper, sweep=sweep)
+            _assert_carrier_matches_edges(sweep, state, corpus)
+            checked.append(sweep)
+            return out
+
+        monkeypatch.setattr(adnd, "update_document_level", checking)
+        _, diag = fit_state(small_corpus(seed=6), HYPER, SMALL_TRUNC, max_sweeps=3,
+                            rel_tol=1e-12, seed=4)
+        assert len(checked) == diag.sweeps == 3
+        assert all(sweep is checked[0] for sweep in checked)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_fit_equals_standalone_block_calls(self, seed):
@@ -338,8 +349,124 @@ class TestFusedSweep:
         _, diag = fit_state(corpus, HYPER, SMALL_TRUNC, max_sweeps=4,
                             rel_tol=1e-12, seed=0)
         assert diag.sweeps == 4
-        # two counts to start the carrier from the initial state, then two a sweep
-        assert len(calls) == 2 + 2 * diag.sweeps
+        # two a sweep: the random initial responsibilities are never counted
+        assert len(calls) == 2 * diag.sweeps
+
+    def test_fit_takes_entropies_of_no_edge_arrays(self, monkeypatch):
+        # the edge-responsibility entropies are gathered from the slot rows
+        # inside the document update, so only atom-topic rows go through here
+        shapes = []
+        original = adnd._categorical_entropy
+
+        def recording(rows):
+            shapes.append(rows.shape)
+            return original(rows)
+
+        monkeypatch.setattr(adnd, "_categorical_entropy", recording)
+        _, diag = fit_state(small_corpus(seed=1), HYPER, SMALL_TRUNC, max_sweeps=3,
+                            rel_tol=1e-12, seed=0)
+        topic_shapes = [(SMALL_TRUNC.k_a, SMALL_TRUNC.k_h), (SMALL_TRUNC.k_b, SMALL_TRUNC.k_h)]
+        assert shapes == topic_shapes * diag.sweeps
+
+
+def _assert_carrier_matches_edges(sweep, state, corpus):
+    """Every value the carrier derives from the edge responsibilities and the
+    per-side sticks equals the same value computed from the state."""
+    dim = corpus.vocab.num_nodes + 1
+    for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers)):
+        edge_resp = getattr(state, f"{side}_edge_resp")
+        assert np.array_equal(getattr(sweep, f"{side}_counts"),
+                              oracles.token_counts(edge_resp, tokens, dim))
+        assert getattr(sweep, f"{side}_entropy") == adnd._categorical_entropy(edge_resp)
+        assert np.array_equal(getattr(sweep, f"{side}_mass"), edge_resp.sum(axis=0))
+        assert np.array_equal(
+            getattr(sweep, f"{side}_elog_sticks"),
+            expected_log_sticks(getattr(state, f"{side}_stick_a"),
+                                getattr(state, f"{side}_stick_b")))
+
+
+def _spread_state(corpus, trunc, seed):
+    """A valid state whose topics and per-side sticks spread the logits over
+    several orders of magnitude, unlike init_state's near-prior start."""
+    state = init_state(corpus, HYPER, trunc, seed=seed)
+    rng = np.random.default_rng(seed)
+    state.lam = rng.lognormal(0.0, 3.0, size=state.lam.shape)
+    for side in ("send", "recv"):
+        size = getattr(state, f"{side}_stick_a").size
+        setattr(state, f"{side}_stick_a", rng.lognormal(0.0, 2.0, size=size))
+        setattr(state, f"{side}_stick_b", rng.lognormal(0.0, 2.0, size=size))
+    return state
+
+
+@st.composite
+def _slot_cases(draw):
+    """(corpus, trunc, seed): k atoms per side from 1 to 20, W from 0 to 30
+    real nodes, and tokens drawn from a few used slots, so most slots are
+    skipped and the unseen slot W is often hit."""
+    num_nodes = draw(st.integers(0, 30))
+    k_a, k_b = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    trunc = TruncationLevels(k_h=max(2, k_a, k_b) + draw(st.integers(0, 3)), k_a=k_a, k_b=k_b)
+    used = draw(st.lists(st.integers(0, num_nodes), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        used.append(num_nodes)
+    n = draw(st.integers(1, 40))
+    senders = draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
+    receivers = draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
+    vocab = NodeVocab(f"n{i}" for i in range(num_nodes))
+    return EdgeCorpus(senders, receivers, vocab), trunc, draw(st.integers(0, 2**32 - 1))
+
+
+def _oracle_edge_resp(state, corpus):
+    """Both sides' per-edge responsibilities for a document update of state."""
+    elog_topic = dirichlet_log_expectation(state.lam)
+    return {
+        side: oracles.edge_responsibilities(
+            getattr(state, f"{side}_topic_resp") @ elog_topic,
+            expected_log_sticks(getattr(state, f"{side}_stick_a"),
+                                getattr(state, f"{side}_stick_b")),
+            tokens)
+        for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers))
+    }
+
+
+class TestSlotResponsibilities:
+    """The document update normalizes one row per node slot and gathers it
+    per edge; the result must be the per-edge kernel's bits."""
+
+    def _check(self, corpus, state):
+        want = _oracle_edge_resp(state, corpus)
+        sweep = adnd._Sweep.start(state, corpus)
+        update_document_level(state, corpus, HYPER, sweep=sweep)
+        for side in ("send", "recv"):
+            got = getattr(state, f"{side}_edge_resp")
+            assert got.shape == want[side].shape
+            assert got.flags.c_contiguous  # the layout the counts and sums saw before
+            assert np.array_equal(got, want[side])
+        _assert_carrier_matches_edges(sweep, state, corpus)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_slot_cases())
+    def test_edge_resp_equals_per_edge_oracle(self, case):
+        corpus, trunc, seed = case
+        self._check(corpus, _spread_state(corpus, trunc, seed))
+
+    @pytest.mark.parametrize("num_nodes,k,tokens", [
+        (0, 1, [0, 0]),  # only the unseen slot, one atom
+        (4, 3, [4, 0, 4]),  # the unseen slot and slot 0; slots 1-3 skipped
+        (30, 8, list(range(0, 31, 3)) * 2),  # the first row length numpy sums in blocks
+        (30, 20, [30] * 5 + [7] * 5),  # the largest k drawn above
+    ])
+    def test_named_cases(self, num_nodes, k, tokens):
+        corpus = EdgeCorpus(tokens, tokens[::-1], NodeVocab(f"n{i}" for i in range(num_nodes)))
+        self._check(corpus, _spread_state(corpus, TruncationLevels(k_h=k + 1, k_a=k, k_b=k), 7))
+
+    def test_row_sums_match_contiguous_per_edge_rows(self):
+        # numpy sums a contiguous row of 15 entries in blocks and a strided
+        # one entry by entry; built F-ordered, the slot logits' row sums round
+        # differently in some of these rows and this comparison fails
+        tokens = np.arange(31).repeat(4)
+        corpus = EdgeCorpus(tokens, tokens[::-1], NodeVocab(f"n{i}" for i in range(30)))
+        self._check(corpus, _spread_state(corpus, TruncationLevels(k_h=20, k_a=15, k_b=15), 3))
 
 
 class TestElbo:
