@@ -189,42 +189,37 @@ def _uniform_rows(rng: np.random.Generator, shape) -> np.ndarray:
     return rows
 
 
-def _incidence(tokens: np.ndarray, dim: int):
-    """(dim, n) CSR 0/1 matrix whose row w lists the edges with token w.
+def _slot_statistics(slot_count: np.ndarray, slot_resp: np.ndarray):
+    """One side's token counts (k, W+1), column mass (k,) and entropy, from
+    its (W+1, k) slot responsibilities and the number of edges on each slot.
 
-    Each row's edges are in ascending order (a stable argsort), so a product
-    with it adds up every row's terms in edge order, the order of a
-    sequential scatter-add.
+    Every edge on slot w holds row w, so a sum over edges is slot_count[w]
+    times that row, summed over slots. Those sums are running totals, so
+    they add the slots in order at every k, the order of a loop over slots;
+    numpy's sum of a single column and a BLAS product would not.
     """
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tokens, minlength=dim), out=indptr[1:])
-    edges = np.argsort(tokens, kind="stable")
-    return scipy.sparse.csr_array((np.ones(tokens.size), edges, indptr), shape=(dim, tokens.size))
-
-
-def _token_counts(incidence, edge_resp: np.ndarray) -> np.ndarray:
-    """Responsibility-weighted token counts, shape (num_atoms, dim).
-
-    Entry (a, w) sums edge_resp[i, a] over the edges i with token w, in edge
-    order; every stored incidence entry is 1.0, so no product rounds.
-    """
-    return (incidence @ edge_resp).T
+    weighted = slot_count[:, None] * slot_resp
+    mass = np.cumsum(weighted, axis=0)[-1]
+    slot_terms = slot_count[:, None] * scipy.special.xlogy(slot_resp, slot_resp)
+    entropy = -float(np.cumsum(slot_terms, axis=0)[-1].sum())
+    return weighted.T, mass, entropy
 
 
 @dataclass
 class VariationalState:
     """All variational parameters for one corpus.
 
-    Shapes, with n edges, vocabulary size W (so W+1 token slots), and
-    truncations (k_h, k_a, k_b):
+    Shapes, with vocabulary size W (so W+1 node slots) and truncations
+    (k_h, k_a, k_b); none depends on the number of edges:
 
     - lam: (k_h, W+1) Dirichlet parameters of the topics over node slots
     - corpus_stick_a/b: (k_h-1,) Beta parameters of the shared topic sticks
     - send_stick_a/b: (k_a-1,), recv_stick_a/b: (k_b-1,) per-side sticks
     - send_topic_resp: (k_a, k_h), recv_topic_resp: (k_b, k_h) rowwise
       probabilities that an atom points at each shared topic
-    - send_edge_resp: (n, k_a), recv_edge_resp: (n, k_b) rowwise
-      probabilities that an edge used each atom
+    - send_slot_resp: (W+1, k_a), recv_slot_resp: (W+1, k_b) rowwise
+      probabilities that an edge on each node slot used each atom; every
+      edge on a slot shares that slot's row
     """
 
     lam: np.ndarray
@@ -236,8 +231,8 @@ class VariationalState:
     recv_stick_b: np.ndarray
     send_topic_resp: np.ndarray
     recv_topic_resp: np.ndarray
-    send_edge_resp: np.ndarray
-    recv_edge_resp: np.ndarray
+    send_slot_resp: np.ndarray
+    recv_slot_resp: np.ndarray
 
     def validate(self, atol: float = 1e-9) -> None:
         """Check positivity and simplex constraints; raise on violation."""
@@ -248,12 +243,7 @@ class VariationalState:
             b = getattr(self, f"{name}_stick_b")
             if np.any(a <= 0.0) or np.any(b <= 0.0):
                 raise ValueError(f"{name} stick parameters must stay positive")
-        for name in (
-            "send_topic_resp",
-            "recv_topic_resp",
-            "send_edge_resp",
-            "recv_edge_resp",
-        ):
+        for name in ("send_topic_resp", "recv_topic_resp", "send_slot_resp", "recv_slot_resp"):
             rows = getattr(self, name)
             if np.any(rows < 0.0):
                 raise ValueError(f"{name} has negative entries")
@@ -342,7 +332,9 @@ def init_state(
 
     Topic parameters start at eta plus Uniform(0, n / (k_h * (W+1))) noise;
     sticks start at their priors; responsibilities start near uniform. Draw
-    order is fixed, so equal seeds give bit-identical states.
+    order is fixed, so equal seeds give bit-identical states. The slot
+    responsibilities are drawn last: a fit's first document update replaces
+    them before anything reads them.
     """
     n = corpus.n
     if n == 0:
@@ -360,8 +352,8 @@ def init_state(
         recv_stick_b=np.full(trunc.k_b - 1, hyper.tau),
         send_topic_resp=_uniform_rows(rng, (trunc.k_a, trunc.k_h)),
         recv_topic_resp=_uniform_rows(rng, (trunc.k_b, trunc.k_h)),
-        send_edge_resp=_uniform_rows(rng, (n, trunc.k_a)),
-        recv_edge_resp=_uniform_rows(rng, (n, trunc.k_b)),
+        send_slot_resp=_uniform_rows(rng, (dim, trunc.k_a)),
+        recv_slot_resp=_uniform_rows(rng, (dim, trunc.k_b)),
     )
 
 
@@ -369,17 +361,18 @@ def init_state(
 class _Sweep:
     """Values a fit's blocks share instead of recomputing, one carrier per fit.
 
-    Each derived value is written by the block that changes its source. The
-    document update changes the edge responsibilities and the per-side
-    sticks, so it writes each side's token counts, the entropy of the edge
-    responsibilities, their column mass, and the expected log stick weights.
-    The corpus update changes lam and the corpus sticks, so it writes
-    digamma(lam), the topics' E[log p] and the corpus stick expectations.
-    The incidence matrices depend only on the corpus.
+    Each side's edge count per node slot depends only on the corpus and is
+    counted once. Every other value is written by the block that changes its
+    source. The document update changes the slot responsibilities and the
+    per-side sticks, so it writes each side's token counts, the entropy of
+    the responsibilities, their column mass, and the expected log stick
+    weights. The corpus update changes lam and the corpus sticks, so it
+    writes digamma(lam), the topics' E[log p] and the corpus stick
+    expectations. No value is sized by the number of edges.
     """
 
-    send_incidence: object
-    recv_incidence: object
+    send_slot_count: np.ndarray
+    recv_slot_count: np.ndarray
     send_counts: np.ndarray = field(init=False)
     recv_counts: np.ndarray = field(init=False)
     send_entropy: float = field(init=False)
@@ -397,20 +390,22 @@ class _Sweep:
         """A carrier whose derived values all match the given state."""
         sweep = cls.for_fit(state, corpus)
         for side in ("send", "recv"):
-            edge_resp = getattr(state, f"{side}_edge_resp")
-            sweep.set_edges(side, edge_resp, _categorical_entropy(edge_resp))
+            sweep.set_slots(side, getattr(state, f"{side}_slot_resp"))
         return sweep
 
     @classmethod
     def for_fit(cls, state: VariationalState, corpus: EdgeCorpus) -> _Sweep:
         """A carrier holding what a fit's first document update reads.
 
-        The values derived from the edge responsibilities are left unset:
+        The values derived from the slot responsibilities are left unset:
         that update replaces the initial responsibilities before anything
         reads them.
         """
         dim = state.lam.shape[1]
-        sweep = cls(_incidence(corpus.senders, dim), _incidence(corpus.receivers, dim))
+        sweep = cls(
+            np.bincount(corpus.senders, minlength=dim).astype(float),
+            np.bincount(corpus.receivers, minlength=dim).astype(float),
+        )
         for side in ("send", "recv"):
             sweep.set_sticks(
                 side, getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b")
@@ -419,11 +414,11 @@ class _Sweep:
         sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
         return sweep
 
-    def set_edges(self, side: str, edge_resp: np.ndarray, entropy: float) -> None:
-        """Store one side's token counts, column mass and given entropy."""
-        counts = _token_counts(getattr(self, f"{side}_incidence"), edge_resp)
+    def set_slots(self, side: str, slot_resp: np.ndarray) -> None:
+        """Store one side's token counts, column mass and entropy."""
+        counts, mass, entropy = _slot_statistics(getattr(self, f"{side}_slot_count"), slot_resp)
         setattr(self, f"{side}_counts", counts)
-        setattr(self, f"{side}_mass", edge_resp.sum(axis=0))
+        setattr(self, f"{side}_mass", mass)
         setattr(self, f"{side}_entropy", entropy)
 
     def set_sticks(self, side: str, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
@@ -446,49 +441,46 @@ def update_document_level(
     *,
     sweep: _Sweep | None = None,
 ) -> VariationalState:
-    """Exact block updates for both sides' edge responsibilities, atom-topic
+    """Exact block updates for both sides' slot responsibilities, atom-topic
     responsibilities, and sticks, in that order per side.
 
     Edge responsibilities weigh each atom by its expected token score plus
     its expected log stick weight; atom responsibilities weigh each shared
-    topic by responsibility-weighted token scores plus the corpus stick
+    topic by responsibility-weighted token counts plus the corpus stick
     expectation; stick shapes then absorb the new responsibilities.
 
     An edge's logits depend only on its token, so each side normalizes one
-    row per node slot, a (W+1, k) matrix, and gathers every edge's row from
-    it. The slot logits are built C-ordered: each row is then summed the way
-    numpy sums the rows of the per-edge (n, k) logits, so the responsibilities
-    are the same bits as normalizing every edge's row. The entropy of the
-    edge responsibilities is gathered the same way from the slot rows' terms.
+    row per node slot, a (W+1, k) matrix, and keeps only those rows. The
+    slot logits are built C-ordered: each row is then summed the way numpy
+    sums a contiguous row of per-edge logits, so the rows are the same bits
+    as normalizing one edge's row. Token counts, column mass and entropy
+    weigh each slot's row by the slot's edge count.
 
     Inside fit_state, the topics' E[log p], the corpus stick expectation and
     each side's stick expectation come from the sweep carrier, where the
     previous updates (or the initial state) left them. Called alone, they
     are computed from the state. Either way this block stores on the carrier
-    each side's token counts, edge-responsibility entropy and column mass,
-    for the corpus update and the bound, and the new sticks' expectations,
-    for the bound and the next document update.
+    each side's token counts, responsibility entropy and column mass, for
+    the corpus update and the bound, and the new sticks' expectations, for
+    the bound and the next document update.
     """
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
     elog_topic = sweep.elog_topic
 
-    for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers)):
+    for side in ("send", "recv"):
         topic_resp = getattr(state, f"{side}_topic_resp")
         elog_side = getattr(sweep, f"{side}_elog_sticks")
 
         atom_token_score = topic_resp @ elog_topic
         slot_resp = _exp_normalize(np.add(atom_token_score.T, elog_side, order="C"))
-        edge_resp = np.take(slot_resp, tokens, axis=0)
-        slot_terms = scipy.special.xlogy(slot_resp, slot_resp)
-        entropy = float(-np.take(slot_terms, tokens, axis=0).sum())
-        sweep.set_edges(side, edge_resp, entropy)
+        sweep.set_slots(side, slot_resp)
 
         counts = getattr(sweep, f"{side}_counts")
         topic_resp = _exp_normalize(counts @ elog_topic.T + sweep.elog_corpus)
 
         shape_a, shape_b = _stick_shapes(getattr(sweep, f"{side}_mass"), hyper.tau)
         sweep.set_sticks(side, shape_a, shape_b)
-        setattr(state, f"{side}_edge_resp", edge_resp)
+        setattr(state, f"{side}_slot_resp", slot_resp)
         setattr(state, f"{side}_topic_resp", topic_resp)
         setattr(state, f"{side}_stick_a", shape_a)
         setattr(state, f"{side}_stick_b", shape_b)
@@ -510,7 +502,7 @@ def update_corpus_level(
 
     Inside fit_state, the token counts are the ones the document update
     stored on the sweep carrier. Called alone, they are counted from the
-    state's edge responsibilities. Either way this block then stores the new
+    state's slot responsibilities. Either way this block then stores the new
     corpus stick expectations, digamma(lam) and the topics' E[log p] on the
     carrier, for the bound and the next document update.
     """
@@ -581,12 +573,11 @@ def compute_elbo(
     assignments and sticks, the shared stick and topic priors, and the
     entropies of every variational factor. Finite for any valid state.
 
-    Inside fit_state, every value derived from the edge responsibilities
+    Inside fit_state, every value derived from the slot responsibilities
     (each side's token counts, entropy and column mass), each side's and the
     corpus stick expectations, digamma(lam) and the topics' E[log p] come
     from the sweep carrier, where this sweep's document and corpus updates
-    stored them, so the bound reads no (n, k) array. Called alone, all of
-    them are computed from the state.
+    stored them. Called alone, all of them are computed from the state.
     """
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
     elog_topic = sweep.elog_topic
@@ -631,11 +622,11 @@ def fit_state(
     """Run coordinate ascent to convergence; return (state, diagnostics).
 
     One sweep is a document-level update followed by a corpus-level update.
-    The three block calls share one _Sweep carrier, so each sweep counts
-    each side's tokens once, takes each side's edge-responsibility entropy
-    and column mass once, and computes digamma(lam) and every stick
-    expectation once. The initial edge responsibilities are neither counted
-    nor summed, since the first document update replaces them. Stops once
+    The three block calls share one _Sweep carrier, so each fit counts each
+    side's edges per node slot once, each sweep takes each side's token
+    counts, entropy and column mass once, and computes digamma(lam) and
+    every stick expectation once. The initial slot responsibilities are
+    never read, since the first document update replaces them. Stops once
     the bound's relative change drops below rel_tol or after max_sweeps
     sweeps.
     """
@@ -701,8 +692,10 @@ def predictive_log_likelihood(model: FittedModel, edge: Edge) -> float:
     Computes log sum_i w_i * topic[i, sender] * w_i * topic[i, receiver]
     with the topic weight applied once per endpoint, via logsumexp, clamped
     below at LOG_FLOOR so the result is always finite. Both endpoints are
-    scored by the same topics, so the score is symmetric: u -> v scores
-    exactly like v -> u, and edge direction does not enter it.
+    scored by the same topics, and their two log rows are added before the
+    weights, an addition that commutes bit for bit, so the score is
+    symmetric: u -> v scores exactly like v -> u, and edge direction does
+    not enter it.
     """
     limit = model.num_nodes
     if not (0 <= edge.sender <= limit and 0 <= edge.receiver <= limit):
@@ -710,7 +703,7 @@ def predictive_log_likelihood(model: FittedModel, edge: Edge) -> float:
             f"edge ({edge.sender}, {edge.receiver}) out of range for {limit} nodes"
         )
     slots = model.slot_log_topics
-    terms = model.twice_log_weights + slots[edge.sender] + slots[edge.receiver]
+    terms = model.twice_log_weights + (slots[edge.sender] + slots[edge.receiver])
     return max(_logsumexp(terms), LOG_FLOOR)
 
 

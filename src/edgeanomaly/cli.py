@@ -229,10 +229,11 @@ def _cmd_fit(args) -> int:
     )
     adnd.save_model(model, args.model)
     diag = model.diagnostics
+    effective = np.count_nonzero(model.topic_weights > 1e-3)
     print(
         f"fit: {corpus.n} edges, {corpus.vocab.num_nodes} nodes, "
         f"{diag.sweeps} sweeps, converged={diag.converged}, "
-        f"elbo={format_float(diag.elbo_trace[-1])}"
+        f"elbo={format_float(diag.elbo_trace[-1])}, effective_topics={effective}"
     )
     return 0
 

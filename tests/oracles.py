@@ -8,6 +8,7 @@ order, so a reader can see what the fast kernel must reproduce.
 import json
 
 import numpy as np
+from scipy.special import xlogy
 
 
 def token_counts(edge_resp, tokens, dim):
@@ -24,6 +25,30 @@ def token_counts(edge_resp, tokens, dim):
         for atom in range(edge_resp.shape[1]):
             counts[token, atom] += edge_resp[edge, atom]
     return counts.T
+
+
+def slot_statistics(slot_count, slot_resp):
+    """One side's token counts (k, W+1), column mass (k,) and entropy, from
+    its (W+1, k) slot responsibilities and slot_count[w] edges on slot w.
+
+    Every edge on a slot holds that slot's row. Walks the slots in order and
+    adds each slot's weighted row and weighted x log x terms onto running
+    totals per atom, starting from zeros. The entropy's last step, the sum
+    of the k per-atom totals, is numpy's, as in the kernel: a loop could not
+    show how numpy sums eight or more entries in blocks.
+    """
+    slot_resp = np.asarray(slot_resp, dtype=float)
+    dim, k = slot_resp.shape
+    counts = np.zeros((k, dim))
+    mass = np.zeros(k)
+    atom_terms = np.zeros(k)
+    for slot in range(dim):
+        for atom in range(k):
+            p = slot_resp[slot, atom]
+            counts[atom, slot] = slot_count[slot] * p
+            mass[atom] += counts[atom, slot]
+            atom_terms[atom] += slot_count[slot] * xlogy(p, p)
+    return counts, mass, -float(atom_terms.sum())
 
 
 def edge_responsibilities(atom_token_score, elog_side, tokens):

@@ -140,12 +140,14 @@ def test_traced_fit_reports_per_sweep_figures(tmp_path):
 
 
 # The benchmark's setup_s times a cold import of the CLI. Only fit and
-# fpr-sim need scipy's special functions and sparse matrices, so everything
-# else must leave them unloaded.
-_FIT_ONLY = ("scipy.special", "scipy.sparse")
+# fpr-sim need scipy's special functions, so everything else must leave them
+# unloaded. No command needs scipy's sparse matrices.
+_FIT_ONLY = ("scipy.special",)
+_NEVER = ("scipy.sparse",)
+_WATCHED = _FIT_ONLY + _NEVER
 
 # Runs each argv list given as JSON through cli.main in this one interpreter,
-# then prints which of _FIT_ONLY got loaded as its last line.
+# then prints which of the named modules got loaded as its last line.
 _RUN_COMMANDS = """
 import json, sys
 from edgeanomaly import cli
@@ -168,13 +170,13 @@ def _fresh_python(*args):
 
 
 def _loaded_after(argvs):
-    return _fresh_python("-c", _RUN_COMMANDS, json.dumps(argvs), json.dumps(_FIT_ONLY))
+    return _fresh_python("-c", _RUN_COMMANDS, json.dumps(argvs), json.dumps(_WATCHED))
 
 
 def test_cold_cli_import_leaves_scipy_sparse_unloaded():
     for module in ("edgeanomaly.cli", "edgeanomaly"):
         code = (f"import json, sys, {module}; "
-                f"print(json.dumps([m for m in {list(_FIT_ONLY)!r} if m in sys.modules]))")
+                f"print(json.dumps([m for m in {list(_WATCHED)!r} if m in sys.modules]))")
         assert _fresh_python("-c", code) == [], f"import {module} loads them"
 
 
@@ -187,3 +189,12 @@ def test_fit_loads_fit_modules(tmp_path):
     # the control: the subprocess check above can see these imports at all
     p = {"train.csv": str(tmp_path / "train.csv"), "model.adnd": str(tmp_path / "model.adnd")}
     assert _loaded_after([_synth_argv(p), _fit_argv(p)]) == list(_FIT_ONLY)
+
+
+def test_no_command_loads_scipy_sparse(tmp_path):
+    p = _fitted_pipeline(tmp_path)
+    fpr_sim = ["fpr-sim", "--nodes", "8", "--n-train", "40", "--n-calib", "40",
+               "--n-test", "10", "--trials", "2", "--max-sweeps", "5", "--kh", "4",
+               "--ka", "2", "--kb", "2", "--out", str(tmp_path / "fpr.csv")]
+    argvs = [_synth_argv(p), _fit_argv(p)] + _scoring_argvs(p, tmp_path) + [fpr_sim]
+    assert _loaded_after(argvs) == list(_FIT_ONLY)

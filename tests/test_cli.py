@@ -68,6 +68,19 @@ class TestPipeline:
         assert main(argv + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_fit_summary_reports_effective_topics(self, pipeline, capsys):
+        model_path = str(pipeline["root"] / "summary.adnd")
+        rc = main(["fit", "--train", pipeline["train"], "--model", model_path,
+                   "--seed", "0"] + FAST)
+        assert rc == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("fit: 100 edges, ")
+        fields = dict(part.split("=") for part in line.split(", ") if "=" in part)
+        weights = load_model(model_path).topic_weights
+        effective = int(np.count_nonzero(weights > 1e-3))
+        assert fields["effective_topics"] == str(effective)
+        assert 1 <= effective <= weights.size
+
     def test_score_command(self, pipeline):
         out = str(pipeline["root"] / "alphas.csv")
         rc = main(["score", "--model", pipeline["model"],
