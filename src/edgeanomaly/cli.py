@@ -21,6 +21,7 @@ from .graph_core import (
     EdgeCsvError,
     corpus_from_pairs,
     format_float,
+    quote_labels,
     read_edge_records,
     write_edge_csv,
 )
@@ -260,8 +261,8 @@ def _cmd_detect(args) -> int:
     )
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("src,dst,alpha,p_value,anomalous\n")
-        rows = zip(test_pairs, verdicts.scores.tolist(), verdicts.p_values.tolist(),
-                   verdicts.flagged.tolist())
+        rows = zip(quote_labels(test_pairs), verdicts.scores.tolist(),
+                   verdicts.p_values.tolist(), verdicts.flagged.tolist())
         for (src, dst), score, p_value, flag in rows:
             fh.write(f"{src},{dst},{format_float(score)},{format_float(p_value)},{int(flag)}\n")
     flagged = int(verdicts.flagged.sum())
@@ -290,9 +291,12 @@ _SCORE_COLUMNS = ("p_value", "rhss_score", "alpha", "score")
 def _cmd_eval(args) -> int:
     with open(args.scores, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EdgeCsvError(f"{args.scores}: missing header row")
-        rows = list(reader)
+        try:
+            if reader.fieldnames is None:
+                raise EdgeCsvError(f"{args.scores}: missing header row")
+            rows = list(reader)
+        except csv.Error as err:  # an over-long field, or NUL before Python 3.11
+            raise EdgeCsvError(f"{args.scores}:{reader.reader.line_num}: {err}") from err
     column = args.score_column
     if column is None:
         column = next((c for c in _SCORE_COLUMNS if c in reader.fieldnames), None)
@@ -434,7 +438,7 @@ def _read_corpus(path, vocab=None):
 def _write_score_csv(path, pairs, column: str, scores) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"src,dst,{column}\n")
-        for (src, dst), value in zip(pairs, scores):
+        for (src, dst), value in zip(quote_labels(pairs), scores):
             fh.write(f"{src},{dst},{format_float(value)}\n")
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -18,11 +21,23 @@ __all__ = [
     "read_edge_records",
     "parse_edge_csv",
     "write_edge_csv",
+    "quote_labels",
     "format_float",
 ]
 
 _HEADER_PLAIN = ["src", "dst"]
 _HEADER_LABELED = ["src", "dst", "label"]
+# Fields per row of a file whose first line is exactly one of these.
+_BULK_WIDTHS = {"src,dst": 2, "src,dst,label": 3}
+# Characters only the row loop reads right: a quote, which csv.reader takes
+# as quoting, and whitespace other than a line feed, which the row loop
+# strips from a field or csv.reader takes as a line end. _ASCII_SPECIAL
+# lists the ASCII ones.
+_ASCII_SPECIAL = '"\t\x0b\x0c\r\x1c\x1d\x1e\x1f '
+_SPECIAL = re.compile(r'"|[^\S\n]')
+# What csv.writer's minimal quoting quotes: the delimiter, the quote and
+# the line terminator's characters.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 class EdgeCsvError(ValueError):
@@ -158,7 +173,7 @@ class EdgeCorpus:
 
 
 def corpus_from_pairs(pairs, vocab: NodeVocab | None = None) -> EdgeCorpus:
-    """Build a corpus from (src, dst) label pairs.
+    """Build a corpus from a sequence of (src, dst) label pairs.
 
     Without a vocabulary, labels are interned in order of first appearance,
     the sender of each pair before its receiver. A frozen vocabulary maps
@@ -166,9 +181,15 @@ def corpus_from_pairs(pairs, vocab: NodeVocab | None = None) -> EdgeCorpus:
     """
     if vocab is None:
         vocab = NodeVocab()
-    lookup = vocab.resolve if vocab.frozen else vocab.intern
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("every pair must hold exactly a sender and a receiver")
+    if not vocab.frozen:
+        for label in dict.fromkeys(chain.from_iterable(pairs)):
+            vocab.intern(label)
     tokens = np.fromiter(
-        (lookup(label) for src, dst in pairs for label in (src, dst)), dtype=np.int64
+        map(vocab._index.get, chain.from_iterable(pairs), repeat(vocab.unseen_slot)),
+        dtype=np.int64,
+        count=2 * len(pairs),
     )
     return EdgeCorpus(tokens[0::2], tokens[1::2], vocab)
 
@@ -199,12 +220,73 @@ def read_edge_records(path):
     """Read a `src,dst[,label]` CSV into raw string pairs plus optional labels.
 
     The header row is required. Labels must be 0 or 1. Rows with missing or
-    empty fields are rejected with the offending line number.
+    empty fields, and any NUL character, are rejected with the offending
+    line number. Fields follow RFC 4180 quoting and are stripped of
+    whitespace; blank lines are skipped.
+
+    The file is read once. A file with no quote and no whitespace but LF or
+    CRLF line ends, whose header is exactly `src,dst` or `src,dst,label`, is
+    split in bulk; every other file, malformed ones included, goes through
+    csv.reader row by row, which gives the same result or error.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    nul = text.find("\x00")
+    if nul >= 0:
+        lineno = len(io.StringIO(text[: nul + 1], newline="").readlines())
+        raise EdgeCsvError(f"{path}:{lineno}: line contains NUL")
+    records = _bulk_records(text)
+    return records if records is not None else _csv_records(path, text)
+
+
+def _bulk_records(text):
+    """(pairs, labels) of a file that needs none of csv.reader's quoting or
+    stripping, or None when it might: the row loop then reads it."""
+    if "\r" in text:  # csv.writer, and so `synth`, ends rows with CRLF
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    # isascii is a flag lookup and each `in` a memchr; the regex, needed
+    # for other whitespace, scans a 1 MB file about a hundred times slower
+    if text.isascii():
+        if any(char in text for char in _ASCII_SPECIAL):
+            return None
+    elif _SPECIAL.search(text):
+        return None
+    lines = text.split("\n")
+    width = _BULK_WIDTHS.get(lines[0])
+    if width is None:
+        return None
+    del lines[0]
+    lines = list(filter(None, lines))  # blank lines are skipped
+    if not set(map(str.count, lines, repeat(","))) <= {width - 1}:
+        return None
+    # csv.reader rejects a field longer than its limit; a line bounds a field
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    joined = ",".join(lines)
+    del lines  # only the fields and the text stay alive from here on
+    fields = joined.split(",") if joined else []
+    del joined
+    if "" in fields:
+        return None
+    if width == 2:
+        rows = iter(fields)
+        return list(zip(rows, rows)), None
+    flags = fields[2::3]
+    if not set(flags) <= {"0", "1"}:
+        return None
+    labels = np.fromiter(map("1".__eq__, flags), dtype=bool, count=len(flags))
+    return list(zip(fields[0::3], fields[1::3])), labels
+
+
+def _csv_records(path, text):
+    """(pairs, labels) of any file, read row by row through csv.reader."""
     pairs: list[tuple[str, str]] = []
     labels: list[bool] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None:
             raise EdgeCsvError(f"{path}: missing header row")
@@ -233,6 +315,8 @@ def read_edge_records(path):
                     )
                 labels.append(row[2] == "1")
             pairs.append((row[0], row[1]))
+    except csv.Error as err:
+        raise EdgeCsvError(f"{path}:{reader.line_num}: {err}") from err
     return pairs, (np.array(labels, dtype=bool) if labeled else None)
 
 
@@ -240,6 +324,23 @@ def parse_edge_csv(path, vocab: NodeVocab | None = None):
     """Parse an edge CSV into (EdgeCorpus, optional label array)."""
     pairs, labels = read_edge_records(path)
     return corpus_from_pairs(pairs, vocab), labels
+
+
+def quote_labels(pairs) -> list[tuple[str, str]]:
+    """(src, dst) label pairs as CSV fields.
+
+    A label holding a comma, a quote, a carriage return or a line feed is
+    quoted as csv.writer's minimal quoting does; every other label keeps
+    its exact text.
+    """
+    quoted = {
+        label: '"' + label.replace('"', '""') + '"'
+        for label in set(chain.from_iterable(pairs))
+        if _NEEDS_QUOTES.search(label)
+    }
+    if not quoted:
+        return pairs
+    return [(quoted.get(src, src), quoted.get(dst, dst)) for src, dst in pairs]
 
 
 def write_edge_csv(path, pairs, labels=None) -> None:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from .graph_core import Edge, EdgeCorpus
 
 __all__ = ["StreamHistory"]
@@ -35,9 +37,27 @@ class StreamHistory:
 
     @classmethod
     def from_corpus(cls, corpus: EdgeCorpus) -> "StreamHistory":
+        """The history of every edge in `corpus`, equal to observing each.
+
+        Built from the corpus arrays without per-edge objects: one sorted
+        count of the distinct (sender, receiver) pairs gives the edge counts
+        and the neighbour sets, and one bincount per side the degrees.
+        """
         history = cls()
-        for edge in corpus:
-            history.observe(edge)
+        senders, receivers = corpus.senders, corpus.receivers
+        dim = corpus.vocab.num_nodes + 1  # endpoints lie in 0..W
+        keys, counts = np.unique(senders * dim + receivers, return_counts=True)
+        heads, tails = np.divmod(keys, dim)
+        pairs = list(zip(heads.tolist(), tails.tolist()))
+        history.edge_counts.update(dict(zip(pairs, counts.tolist())))
+        for degree, side in ((history.out_degree, senders), (history.in_degree, receivers)):
+            per_node = np.bincount(side, minlength=dim)
+            nodes = np.flatnonzero(per_node)
+            degree.update(dict(zip(nodes.tolist(), per_node[nodes].tolist())))
+        for sender, receiver in pairs:
+            history.out_neighbors[sender].add(receiver)
+            history.in_neighbors[receiver].add(sender)
+        history.total_edges = corpus.n
         return history
 
     def observe(self, edge: Edge) -> "StreamHistory":
@@ -52,13 +72,29 @@ class StreamHistory:
         return self
 
     def validate(self) -> None:
-        """Cross-check the redundant counts; raise on any mismatch."""
+        """Cross-check the redundant state; raise on any mismatch.
+
+        The edge counts must sum to total_edges, each degree must be its
+        node's sum of edge counts, and each neighbour set must hold the
+        nodes its edge counts pair it with.
+        """
         if sum(self.edge_counts.values()) != self.total_edges:
             raise ValueError("edge counts do not sum to total_edges")
-        if sum(self.out_degree.values()) != self.total_edges:
-            raise ValueError("out degrees do not sum to total_edges")
-        if sum(self.in_degree.values()) != self.total_edges:
-            raise ValueError("in degrees do not sum to total_edges")
+        out_degree, in_degree = Counter(), Counter()
+        out_neighbors, in_neighbors = defaultdict(set), defaultdict(set)
+        for (sender, receiver), count in self.edge_counts.items():
+            out_degree[sender] += count
+            in_degree[receiver] += count
+            out_neighbors[sender].add(receiver)
+            in_neighbors[receiver].add(sender)
+        for name, kept, derived in (
+            ("out degrees", self.out_degree, out_degree),
+            ("in degrees", self.in_degree, in_degree),
+            ("out neighbors", self.out_neighbors, out_neighbors),
+            ("in neighbors", self.in_neighbors, in_neighbors),
+        ):
+            if dict(kept) != dict(derived):
+                raise ValueError(f"{name} do not match the edge counts")
 
     def sample_score(self, edge: Edge) -> float:
         """Add-one smoothed frequency of the exact (sender, receiver) pair.

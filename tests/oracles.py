@@ -5,10 +5,16 @@ Each oracle is written for plainness, not speed: explicit loops in a fixed
 order, so a reader can see what the fast kernel must reproduce.
 """
 
+import csv
 import json
 
 import numpy as np
 from scipy.special import xlogy
+
+from edgeanomaly.graph_core import Edge, EdgeCsvError
+
+_HEADER_PLAIN = ["src", "dst"]
+_HEADER_LABELED = ["src", "dst", "label"]
 
 
 def token_counts(edge_resp, tokens, dim):
@@ -95,3 +101,69 @@ def save_model_v1(model, path):
         fh.write("ADND1\n")
         json.dump(payload, fh)
         fh.write("\n")
+
+
+def read_edge_records(path):
+    """The edge-list reader before the bulk path: csv.reader, row by row.
+
+    Every field is stripped, blank rows are skipped, and each error names
+    the row's line. graph_core.read_edge_records must return what this
+    returns, or raise the same EdgeCsvError, for any file without a NUL.
+    """
+    pairs: list[tuple[str, str]] = []
+    labels: list[bool] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EdgeCsvError(f"{path}: missing header row")
+        header = [field.strip() for field in header]
+        if header == _HEADER_PLAIN:
+            labeled = False
+        elif header == _HEADER_LABELED:
+            labeled = True
+        else:
+            raise EdgeCsvError(
+                f"{path}: bad header {','.join(header)!r}, expected src,dst or src,dst,label"
+            )
+        expected = 3 if labeled else 2
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            row = [field.strip() for field in row]
+            if len(row) != expected or any(field == "" for field in row):
+                raise EdgeCsvError(
+                    f"{path}:{lineno}: expected {expected} nonempty fields, got {len(row)}"
+                )
+            if labeled:
+                if row[2] not in ("0", "1"):
+                    raise EdgeCsvError(
+                        f"{path}:{lineno}: label must be 0 or 1, got {row[2]!r}"
+                    )
+                labels.append(row[2] == "1")
+            pairs.append((row[0], row[1]))
+    return pairs, (np.array(labels, dtype=bool) if labeled else None)
+
+
+def intern_pairs(pairs, vocab):
+    """(senders, receivers) of (src, dst) label pairs, one label at a time.
+
+    Interns, or resolves when the vocabulary is frozen, each pair's sender
+    and then its receiver, in order, which fixes the vocabulary's order.
+    """
+    if vocab.frozen:
+        lookup = vocab.resolve
+    else:
+        lookup = vocab.intern
+    senders, receivers = [], []
+    for src, dst in pairs:
+        senders.append(lookup(src))
+        receivers.append(lookup(dst))
+    return senders, receivers
+
+
+def fold_history(history, senders, receivers):
+    """Observe each (sender, receiver) edge in turn; returns the history."""
+    for sender, receiver in zip(senders, receivers):
+        history.observe(Edge(sender, receiver))
+    return history

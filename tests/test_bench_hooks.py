@@ -139,6 +139,32 @@ def test_traced_fit_reports_per_sweep_figures(tmp_path):
     assert set(per_block.values()) == {sweeps}, per_block
 
 
+def test_traced_ingest_reports_rows_read_and_build_time(tmp_path):
+    # rows_read is the length of each reader result, so a reader that returns
+    # a lazy or differently sized result shows up here
+    p = _fitted_pipeline(tmp_path)
+    rhss_argv = _scoring_argvs(p, tmp_path)[2]
+    assert rhss_argv[0] == "rhss"
+    tracer = tracing.Tracer()
+    installed = tracing.Installed(tracer, "edgeanomaly", -adnd.LOG_FLOOR)
+    try:
+        for argv in (_fit_argv(p), rhss_argv):
+            span = tracer.begin("cli." + argv[0])  # the root span run.py opens
+            try:
+                assert cli.main(argv) == 0
+            finally:
+                tracer.end(span)
+    finally:
+        installed.remove()
+
+    metrics = tracing.layer_metrics(tracer)
+    # fit and rhss each read train.csv; rhss also reads test.csv
+    train_rows, test_rows = _rows(tmp_path / "train.csv"), _rows(tmp_path / "test.csv")
+    assert metrics["graph_core.rows_read"] == 2 * train_rows + test_rows
+    assert metrics["rhss.build_s"] > 0.0
+    assert metrics["graph_core.read_s"] > 0.0 and metrics["graph_core.intern_s"] > 0.0
+
+
 # The benchmark's setup_s times a cold import of the CLI. Only fit and
 # fpr-sim need scipy's special functions, so everything else must leave them
 # unloaded. No command needs scipy's sparse matrices.

@@ -11,6 +11,7 @@ import pytest
 
 from edgeanomaly.adnd import load_model
 from edgeanomaly.cli import UsageError, load_config_file, main
+from edgeanomaly.graph_core import write_edge_csv
 
 
 FAST = ["--kh", "8", "--ka", "4", "--kb", "4", "--max-sweeps", "60"]
@@ -173,6 +174,62 @@ class TestPipeline:
         assert all(int(r["n_test"]) == 40 for r in rows)
 
 
+class TestQuotedLabels:
+    """Labels that need quoting in a CSV survive every writer and reader."""
+
+    LABELS = ["x,y", 'q"t', "line\nbreak", "cr\rhere", "a b", "plain", "\u00e9"]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("quoted")
+        labels, k = self.LABELS, len(self.LABELS)
+        train = [(labels[i % k], labels[(3 * i + 1) % k]) for i in range(70)]
+        test = [(labels[i % k], labels[(5 * i + 2) % k]) for i in range(14)]
+        test.append(("never,seen", "plain"))
+        flags = [i % 3 == 0 for i in range(len(test))]
+        p = {name: str(root / name) for name in (
+            "train.csv", "test.csv", "model.adnd", "alphas.csv", "verdicts.csv",
+            "baseline.csv")}
+        write_edge_csv(p["train.csv"], train)
+        write_edge_csv(p["test.csv"], test, flags)
+        assert main(["fit", "--train", p["train.csv"], "--model", p["model.adnd"]]
+                    + FAST) == 0
+        assert main(["score", "--model", p["model.adnd"], "--edges", p["test.csv"],
+                     "--out", p["alphas.csv"]]) == 0
+        assert main(["detect", "--model", p["model.adnd"], "--calib", p["train.csv"],
+                     "--test", p["test.csv"], "--out", p["verdicts.csv"]]) == 0
+        assert main(["rhss", "--train", p["train.csv"], "--test", p["test.csv"],
+                     "--out", p["baseline.csv"]]) == 0
+        return root, p, test
+
+    @pytest.mark.parametrize("name,column", [
+        ("alphas.csv", "alpha"), ("verdicts.csv", "p_value"), ("baseline.csv", "rhss_score"),
+    ])
+    def test_outputs_read_back_with_their_labels(self, files, name, column):
+        _, p, test = files
+        rows = read_rows(p[name])
+        assert [(r["src"], r["dst"]) for r in rows] == test
+        assert all(float(r[column]) >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("name", ["alphas.csv", "verdicts.csv", "baseline.csv"])
+    def test_eval_reads_the_outputs(self, files, name):
+        root, p, _ = files
+        prefix = str(root / name.replace(".csv", ""))
+        assert main(["eval", "--scores", p[name], "--labels", p["test.csv"],
+                     "--out-prefix", prefix]) == 0
+
+    def test_plain_labels_keep_their_bytes(self, files):
+        _, p, test = files
+        lines = Path(p["alphas.csv"]).read_text(encoding="utf-8").split("\n")
+        plain = [(src, dst) for src, dst in test
+                 if not any(c in src + dst for c in ',"\r\n')]
+        assert plain
+        for src, dst in plain:
+            assert any(line.startswith(f"{src},{dst},") for line in lines)
+        assert any(line.startswith('"x,y",') for line in lines)
+        assert any(line.startswith('"q""t",') for line in lines)
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -256,6 +313,24 @@ class TestExitCodes:
         rc = main(["fit", "--train", str(bad), "--model", str(tmp_path / "m.adnd")])
         assert rc == 2
         assert "header" in capsys.readouterr().err
+
+    def test_nul_in_csv_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "nul.csv"
+        bad.write_text("src,dst\na,b\nc,d\x00\n")
+        rc = main(["fit", "--train", str(bad), "--model", str(tmp_path / "m.adnd")])
+        assert rc == 2
+        assert "nul.csv:3: line contains NUL" in capsys.readouterr().err
+
+    def test_csv_error_in_scores_is_data_error(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("src,dst,score,label\na,b,0.5,1\nc,d,0.3125,0\n")
+        old_limit = csv.field_size_limit(5)
+        try:
+            rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")])
+        finally:
+            csv.field_size_limit(old_limit)
+        assert rc == 2
+        assert "scores.csv:3: field larger than field limit" in capsys.readouterr().err
 
     def test_bad_model_magic_is_data_error(self, pipeline, tmp_path, capsys):
         fake = tmp_path / "fake.adnd"

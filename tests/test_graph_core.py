@@ -1,5 +1,6 @@
 """Vocabulary, corpus, splitting, and CSV round-trip behavior."""
 
+import csv
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from edgeanomaly import graph_core
 from edgeanomaly.graph_core import (
     Edge,
     EdgeCorpus,
@@ -14,6 +17,7 @@ from edgeanomaly.graph_core import (
     NodeVocab,
     corpus_from_pairs,
     parse_edge_csv,
+    quote_labels,
     read_edge_records,
     split_train_calib,
     write_edge_csv,
@@ -253,6 +257,7 @@ class TestEdgeCsv:
 
 
 _LABELS = st.text(alphabet="abcde", min_size=1, max_size=2)
+_INGEST_LABELS = st.text(alphabet="ab\u00e9\u0436 ,\"", min_size=1, max_size=3)
 
 
 class TestCorpusFromPairs:
@@ -278,3 +283,169 @@ class TestCorpusFromPairs:
         assert vocab.labels == reference.labels
         assert corpus.senders.tolist() == [s for s, _ in expected]
         assert corpus.receivers.tolist() == [r for _, r in expected]
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_INGEST_LABELS, _INGEST_LABELS), max_size=40),
+        known=st.lists(_INGEST_LABELS, max_size=6),
+        frozen=st.booleans(),
+    )
+    def test_matches_the_per_label_oracle(self, pairs, known, frozen):
+        vocab = NodeVocab(known)
+        reference = NodeVocab(known)
+        if frozen:
+            vocab.freeze()
+            reference.freeze()
+        senders, receivers = oracles.intern_pairs(pairs, reference)
+
+        corpus = corpus_from_pairs(pairs, vocab)
+        assert vocab.labels == reference.labels
+        assert corpus.senders.tolist() == senders
+        assert corpus.receivers.tolist() == receivers
+
+    @pytest.mark.parametrize("pair", [("a",), ("a", "b", "c"), ()])
+    def test_pair_of_other_length_rejected(self, pair):
+        with pytest.raises(ValueError, match="exactly a sender and a receiver"):
+            corpus_from_pairs([("x", "y"), pair, ("y", "x")])
+
+
+# Characters the csv reader or the row loop treats specially (comma, quote,
+# line ends, whitespace it strips) beside plain ASCII and other letters.
+_SPECIAL_CHARS = ',"\r\n \t\xa0\x85\u2028'
+_PLAIN_CHARS = "ab01\u00e9\u0436"
+_HEADERS = ["src,dst", "src,dst,label"] * 8 + [
+    "src, dst", " src,dst,label", "src,dst\r", '"src",dst', "src,dst,label\xa0",
+    "src", "src,dst,lab", "", "\u00e9,dst",
+]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Mostly well-formed edge files with a few flaws: an empty field, a
+    special character, a padded field, a row one field short or long, a bad
+    label, a blank line or another line end. Most flaws send the file to the row loop;
+    some reach the bulk path, which must then hand it over too."""
+    header = draw(st.sampled_from(_HEADERS))
+    width = 3 if header.endswith("label") else 2
+    # ASCII-only files take another check than the rest
+    plain = draw(st.sampled_from(["ab01", _PLAIN_CHARS]))
+    special = draw(st.sampled_from([',"\r\n \t', _SPECIAL_CHARS]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        fields = []
+        for _ in range(draw(st.sampled_from([width] * 20 + [0, width - 1, width + 1]))):
+            kind = draw(st.integers(0, 39))
+            if kind == 0:
+                fields.append("")
+            elif kind < 3:
+                fields.append(draw(st.text(plain + special, min_size=1, max_size=3)))
+            elif kind == 3:  # padded, which the row loop strips
+                pad = draw(st.sampled_from([c for c in special if c.isspace() and c not in "\r\n"]))
+                field = draw(st.text(plain, min_size=1, max_size=2))
+                fields.append(draw(st.sampled_from([pad + field, field + pad])))
+            else:
+                fields.append(draw(st.text(plain, min_size=1, max_size=3)))
+        if width == 3 and len(fields) == 3 and draw(st.integers(0, 3)):
+            fields[2] = draw(st.sampled_from(["0", "1"] * 6 + ["2", " 1", "01"]))
+        rows.append(",".join(fields))
+    ending = draw(st.sampled_from(["\n"] * 12 + ["\r\n", "\r", "\n\n"]))
+    return header + "\n" + ending.join(rows) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(read, path):
+    try:
+        pairs, labels = read(path)
+    except EdgeCsvError as err:
+        return "error", str(err)
+    if labels is not None:
+        assert labels.dtype == bool
+        labels = labels.tolist()
+    return pairs, labels
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "edges.csv"
+
+
+class TestIngestOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(text=_csv_texts())
+    def test_same_result_or_error_as_the_row_loop(self, scratch_csv, text):
+        scratch_csv.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(read_edge_records, scratch_csv) == _outcome(
+            oracles.read_edge_records, scratch_csv)
+
+    @pytest.mark.parametrize("text", [
+        "src,dst\na,b\n\nc,d\n",
+        "src,dst,label\nx,y,1\n\u00e9,\u0436,0",
+        "src,dst\n",
+        "src,dst",
+        "src,dst\r\na,b\r\n\r\nc,d\r\n",  # as csv.writer and synth write them
+    ])
+    def test_plain_files_take_the_bulk_path(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "edges.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _outcome(oracles.read_edge_records, path)
+
+        def refuse(path, text):
+            raise AssertionError("the row loop read a plain file")
+
+        monkeypatch.setattr(graph_core, "_csv_records", refuse)
+        assert _outcome(read_edge_records, path) == expected
+
+    @pytest.mark.parametrize("text", [
+        'src,dst\n"a",b\n', "src,dst\na ,b\n", "src,dst\ra,b\r", "src,dst\r\na,b\r\r\n",
+        "src,dst\na\tb,c\n", "src,dst\na,b\u2028\n", "src,dst\na,b\x1c\n",
+    ])
+    def test_quoted_or_padded_files_take_the_row_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "edges.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = _outcome(oracles.read_edge_records, path)
+        calls = []
+        row_loop = graph_core._csv_records
+        monkeypatch.setattr(graph_core, "_csv_records",
+                            lambda *args: calls.append(1) or row_loop(*args))
+        assert _outcome(read_edge_records, path) == expected
+        assert calls == [1]
+
+    @pytest.mark.parametrize("text,line", [
+        ("src,dst\na,b\nc\x00,d\n", 3),
+        ("src,dst\r\na,b\r\n\x00\r\n", 3),
+        ("src,dst\ra,b\rc,\x00d\r", 3),
+        ('src,dst\n"a\nb",c\nd,\x00e\n', 4),
+        ("\x00src,dst\n", 1),
+    ])
+    def test_nul_rejected_with_its_line(self, tmp_path, text, line):
+        # csv.reader accepts NUL from Python 3.11 on and raises csv.Error before
+        path = tmp_path / "nul.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(EdgeCsvError, match=rf"nul.csv:{line}: line contains NUL"):
+            read_edge_records(path)
+
+    @pytest.mark.parametrize("text", [
+        "src,dst\nabcdefghijk,b\n", 'src,dst\n"abcdefghijk",b\n',
+    ])
+    def test_other_csv_errors_become_edge_csv_errors(self, tmp_path, text):
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        old_limit = csv.field_size_limit(8)
+        try:
+            with pytest.raises(EdgeCsvError, match=r"long.csv:2: field larger than field limit"):
+                read_edge_records(path)
+        finally:
+            csv.field_size_limit(old_limit)
+
+
+class TestQuoteLabels:
+    def test_plain_labels_keep_their_text(self):
+        pairs = [("a b", "\u00e9"), ("x", "y\tz")]
+        assert quote_labels(pairs) == pairs
+
+    def test_labels_are_quoted_as_csv_writer_quotes_them(self):
+        pairs = [("x,y", "plain"), ('q"t', "a\rb"), ("c\nd", "x,y")]
+        quoted = quote_labels(pairs)
+        assert quoted == [('"x,y"', "plain"), ('"q""t"', '"a\rb"'), ('"c\nd"', '"x,y"')]
+        for (src, dst), (qsrc, qdst) in zip(pairs, quoted):
+            assert next(csv.reader([f"{qsrc},{qdst}"])) == [src, dst]

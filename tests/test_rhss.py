@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from edgeanomaly.graph_core import Edge, EdgeCorpus, NodeVocab
 from edgeanomaly.rhss import StreamHistory
 
@@ -42,6 +45,87 @@ class TestObserve:
         corpus = EdgeCorpus([0, 1], [1, 0], vocab)
         history = StreamHistory.from_corpus(corpus)
         assert history.total_edges == 2
+
+
+@st.composite
+def corpora(draw):
+    """Corpora over a few nodes, often with self-loops, repeated pairs and
+    the unseen slot W among the endpoints; sometimes empty."""
+    num_nodes = draw(st.integers(0, 6))
+    endpoint = st.integers(0, num_nodes)  # num_nodes is the unseen slot
+    pairs = draw(st.lists(st.tuples(endpoint, endpoint), max_size=30))
+    pairs += draw(st.sampled_from([[], pairs[:3], [(num_nodes, num_nodes)]]))
+    vocab = NodeVocab([f"n{i}" for i in range(num_nodes)])
+    return EdgeCorpus([u for u, _ in pairs], [v for _, v in pairs], vocab)
+
+
+def _state(history):
+    """Every field of a history as plain dicts, with their types."""
+    return {
+        "edge_counts": (type(history.edge_counts), dict(history.edge_counts)),
+        "out_degree": (type(history.out_degree), dict(history.out_degree)),
+        "in_degree": (type(history.in_degree), dict(history.in_degree)),
+        "out_neighbors": (type(history.out_neighbors), dict(history.out_neighbors)),
+        "in_neighbors": (type(history.in_neighbors), dict(history.in_neighbors)),
+        "total_edges": history.total_edges,
+    }
+
+
+class TestFromCorpus:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=corpora())
+    def test_equals_observing_each_edge(self, corpus):
+        history = StreamHistory.from_corpus(corpus)
+        history.validate()
+        reference = oracles.fold_history(
+            StreamHistory(), corpus.senders.tolist(), corpus.receivers.tolist())
+        assert _state(history) == _state(reference)
+        keys = [k for pair in history.edge_counts for k in pair]
+        keys += list(history.out_degree) + list(history.in_neighbors)
+        keys += [v for nodes in history.out_neighbors.values() for v in nodes]
+        assert all(type(k) is int for k in keys)
+        assert all(type(c) is int for c in history.edge_counts.values())
+
+    def test_named_cases(self):
+        vocab = NodeVocab(["a", "b", "c"])
+        for senders, receivers in (
+            ([], []),  # empty
+            ([0, 0, 0], [0, 0, 0]),  # one repeated self-loop
+            ([3, 0, 3, 2], [3, 3, 1, 3]),  # unseen slot on both sides
+        ):
+            corpus = EdgeCorpus(senders, receivers, vocab)
+            history = StreamHistory.from_corpus(corpus)
+            history.validate()
+            assert _state(history) == _state(
+                oracles.fold_history(StreamHistory(), senders, receivers))
+
+    def test_observe_extends_a_built_history(self):
+        corpus = EdgeCorpus([0, 1, 1], [1, 2, 2], NodeVocab(["a", "b", "c"]))
+        history = StreamHistory.from_corpus(corpus).observe(Edge(2, 0))
+        history.validate()
+        assert _state(history) == _state(
+            oracles.fold_history(StreamHistory(), [0, 1, 1, 2], [1, 2, 2, 0]))
+
+
+class TestValidate:
+    def tampered(self, field, change):
+        history = history_of([(0, 1), (0, 2), (1, 2), (0, 1)])
+        history.validate()
+        change(getattr(history, field))
+        return history
+
+    @pytest.mark.parametrize("field,change,message", [
+        ("edge_counts", lambda c: c.update({(2, 0): 1}), "edge counts do not sum"),
+        ("out_degree", lambda c: c.update({0: -1, 1: 1}), "out degrees"),
+        ("in_degree", lambda c: c.update({2: -1, 1: 1}), "in degrees"),
+        ("out_neighbors", lambda n: n[0].discard(2), "out neighbors"),
+        ("in_neighbors", lambda n: n[0].add(1), "in neighbors"),
+        ("in_neighbors", lambda n: n[2].add(2), "in neighbors"),
+    ])
+    def test_mismatch_raises(self, field, change, message):
+        history = self.tampered(field, change)
+        with pytest.raises(ValueError, match=message):
+            history.validate()
 
 
 class TestSampleScore:
