@@ -421,6 +421,7 @@ def _cmd_fpr_sim(args) -> int:
         rel_tol=cfg.rel_tol,
     )
     evaluation.write_fpr_csv(args.out, points)
+    print(f"fpr-sim: trials={args.trials} workers={evaluation.trial_workers(args.trials)}")
     for point in points:
         print(
             f"fpr-sim: epsilon={format_float(point.epsilon)} "

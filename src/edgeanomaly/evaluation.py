@@ -4,7 +4,10 @@ rate simulation harness for the full detection pipeline."""
 from __future__ import annotations
 
 import csv
+import os
+import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,6 +23,7 @@ __all__ = [
     "auc",
     "ks_uniformity",
     "fpr_simulation",
+    "trial_workers",
     "write_curve_csv",
     "write_fpr_csv",
 ]
@@ -162,9 +166,15 @@ def fpr_simulation(
     flagged at threshold epsilon estimates the false positive rate, which
     exchangeability bounds by epsilon.
 
-    Trials run sequentially from per-trial seeds spawned off `seed`, and
-    results are aggregated in trial order, so a rerun with the same seed
-    reproduces the same numbers exactly.
+    Each trial is seeded from its own child of `SeedSequence(seed)` and
+    yields only integer counts, which are summed in trial order, so a rerun
+    with the same seed reproduces the same numbers exactly. The trials run
+    in `trial_workers(trials)` processes; at a fixed BLAS thread count the
+    result is bit-identical to running them one after another here.
+
+    `stderr` is the binomial formula over all trials x n_test edges, as if
+    every edge were an independent draw. The edges of one trial share its
+    model and calibration set, so it understates the spread.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -176,38 +186,76 @@ def fpr_simulation(
     if n_train < 1 or n_calib < 1 or n_test < 1:
         raise ValueError("n_train, n_calib, and n_test must be positive")
 
-    flagged = {e: 0 for e in epsilons}
-    total = 0
-    n_pool = n_train + n_calib
-    for trial_seq in np.random.SeedSequence(seed).spawn(trials):
-        sample_seed, split_seed, fit_seed, u_seed = trial_seq.spawn(4)
-        corpus = sample_edges(
-            hyper, trunc, num_nodes, n_pool + n_test, sample_seed
-        )
-        pool = corpus.subset(slice(None, n_pool))
-        test = corpus.subset(slice(n_pool, None))
-        train, calib = _split_by_count(pool, n_calib, split_seed)
-        model = fit(
-            train, hyper, trunc, max_sweeps=max_sweeps, rel_tol=rel_tol, seed=fit_seed
-        )
-        calib_set = calibration_scores(model, calib)
-        test_scores = np.array(
-            [nonconformity_score(model, edge) for edge in test]
-        )
-        u_draws = _positive_uniform(
-            np.random.default_rng(u_seed), size=test_scores.size
-        )
-        p_values = conformal_p_values(test_scores, calib_set, u_draws, orientation)
-        for e in epsilons:
-            flagged[e] += int(np.count_nonzero(p_values <= e))
-        total += test_scores.size
+    run_trial = partial(
+        _fpr_trial, hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
+        orientation, max_sweeps, rel_tol,
+    )
+    trial_seqs = np.random.SeedSequence(seed).spawn(trials)
+    workers = trial_workers(trials)
+    if workers == 1:
+        results = list(map(run_trial, trial_seqs))
+    else:
+        # fork, not spawn: spawn re-imports numpy and scipy in every worker,
+        # which costs more than a short simulation, and forked children
+        # inherit the loaded BLAS with its thread count, so each trial
+        # computes the same bits as here
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            # one trial per task: trial times vary by about 2x
+            results = list(pool.map(run_trial, trial_seqs, chunksize=1))
+
+    flagged = [sum(counts[i] for counts, _ in results) for i in range(len(epsilons))]
+    total = sum(n for _, n in results)
     points = []
-    for e in epsilons:
-        rate = flagged[e] / total
+    for e, hits in zip(epsilons, flagged):
+        rate = hits / total
         stderr = float(np.sqrt(rate * (1.0 - rate) / total))
         points.append(FprPoint(epsilon=e, fpr=rate, stderr=stderr, n_test=total))
     return points
+
+
+def trial_workers(trials: int) -> int:
+    """Processes that fpr_simulation runs `trials` trials in.
+
+    On Linux that is one per usable CPU, at most one per trial. Elsewhere,
+    and inside a daemonic multiprocessing worker, which may not start
+    children, it is 1: the trials run in the calling process.
+    """
+    if sys.platform != "linux":
+        return 1
+    workers = min(trials, len(os.sched_getaffinity(0)))
+    # a daemonic worker was started by multiprocessing, so it has the module
+    # loaded; checking sys.modules keeps the import out of every other caller
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return workers
+
+
+def _fpr_trial(hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
+               orientation, max_sweeps, rel_tol, trial_seq):
+    """One fpr_simulation trial: (test edges flagged at each epsilon, n_test).
+
+    Calls the pipeline through this module's names, so a caller that
+    replaces one of them here (a tracer, a test) sees the trial's calls.
+    """
+    n_pool = n_train + n_calib
+    sample_seed, split_seed, fit_seed, u_seed = trial_seq.spawn(4)
+    corpus = sample_edges(hyper, trunc, num_nodes, n_pool + n_test, sample_seed)
+    pool = corpus.subset(slice(None, n_pool))
+    test = corpus.subset(slice(n_pool, None))
+    train, calib = _split_by_count(pool, n_calib, split_seed)
+    model = fit(
+        train, hyper, trunc, max_sweeps=max_sweeps, rel_tol=rel_tol, seed=fit_seed
+    )
+    calib_set = calibration_scores(model, calib)
+    test_scores = np.array([nonconformity_score(model, edge) for edge in test])
+    u_draws = _positive_uniform(np.random.default_rng(u_seed), size=test_scores.size)
+    p_values = conformal_p_values(test_scores, calib_set, u_draws, orientation)
+    return [int(np.count_nonzero(p_values <= e)) for e in epsilons], test_scores.size
 
 
 def write_curve_csv(path, xs, ys, curve_name: str) -> None:

@@ -11,7 +11,15 @@ import json
 import numpy as np
 from scipy.special import xlogy
 
-from edgeanomaly.graph_core import Edge, EdgeCsvError
+from edgeanomaly.adnd import fit, sample_edges
+from edgeanomaly.conformal import (
+    _positive_uniform,
+    calibration_scores,
+    conformal_p_values,
+    nonconformity_score,
+)
+from edgeanomaly.evaluation import FprPoint
+from edgeanomaly.graph_core import Edge, EdgeCsvError, _split_by_count
 
 _HEADER_PLAIN = ["src", "dst"]
 _HEADER_LABELED = ["src", "dst", "label"]
@@ -167,3 +175,48 @@ def fold_history(history, senders, receivers):
     for sender, receiver in zip(senders, receivers):
         history.observe(Edge(sender, receiver))
     return history
+
+
+def fpr_simulation(hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
+                   trials, seed, orientation="power-corrected", *, max_sweeps=200,
+                   rel_tol=1e-5):
+    """evaluation.fpr_simulation as one loop over the trials in this process.
+
+    Each trial draws its corpus, splits, fits, scores and counts the test
+    edges flagged at each epsilon; the counts add up in trial order. Given
+    distinct epsilons, evaluation.fpr_simulation must return these points
+    bit for bit, however many processes it runs the trials in.
+    """
+    epsilons = [float(e) for e in epsilons]
+    flagged = {e: 0 for e in epsilons}
+    total = 0
+    n_pool = n_train + n_calib
+    for trial_seq in np.random.SeedSequence(seed).spawn(trials):
+        sample_seed, split_seed, fit_seed, u_seed = trial_seq.spawn(4)
+        corpus = sample_edges(
+            hyper, trunc, num_nodes, n_pool + n_test, sample_seed
+        )
+        pool = corpus.subset(slice(None, n_pool))
+        test = corpus.subset(slice(n_pool, None))
+        train, calib = _split_by_count(pool, n_calib, split_seed)
+        model = fit(
+            train, hyper, trunc, max_sweeps=max_sweeps, rel_tol=rel_tol, seed=fit_seed
+        )
+        calib_set = calibration_scores(model, calib)
+        test_scores = np.array(
+            [nonconformity_score(model, edge) for edge in test]
+        )
+        u_draws = _positive_uniform(
+            np.random.default_rng(u_seed), size=test_scores.size
+        )
+        p_values = conformal_p_values(test_scores, calib_set, u_draws, orientation)
+        for e in epsilons:
+            flagged[e] += int(np.count_nonzero(p_values <= e))
+        total += test_scores.size
+
+    points = []
+    for e in epsilons:
+        rate = flagged[e] / total
+        stderr = float(np.sqrt(rate * (1.0 - rate) / total))
+        points.append(FprPoint(epsilon=e, fpr=rate, stderr=stderr, n_test=total))
+    return points

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from edgeanomaly import adnd, cli
+from edgeanomaly import adnd, cli, evaluation
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
@@ -167,10 +167,16 @@ def test_traced_ingest_reports_rows_read_and_build_time(tmp_path):
 
 # The benchmark's setup_s times a cold import of the CLI. Only fit and
 # fpr-sim need scipy's special functions, so everything else must leave them
-# unloaded. No command needs scipy's sparse matrices.
+# unloaded. Only fpr-sim's worker pool needs multiprocessing. No command
+# needs scipy's sparse matrices.
 _FIT_ONLY = ("scipy.special",)
+_POOL_ONLY = ("multiprocessing",)
 _NEVER = ("scipy.sparse",)
-_WATCHED = _FIT_ONLY + _NEVER
+# The pool's executor module. scipy.special loads it too (through
+# numpy.testing, on numpy 2.4), so it is watched only until a fit.
+_UNTIL_FIT = ("concurrent.futures",)
+_AFTER_FIT = _FIT_ONLY + _POOL_ONLY + _NEVER
+_WATCHED = _AFTER_FIT + _UNTIL_FIT
 
 # Runs each argv list given as JSON through cli.main in this one interpreter,
 # then prints which of the named modules got loaded as its last line.
@@ -195,8 +201,8 @@ def _fresh_python(*args):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _loaded_after(argvs):
-    return _fresh_python("-c", _RUN_COMMANDS, json.dumps(argvs), json.dumps(_WATCHED))
+def _loaded_after(argvs, watched=_WATCHED):
+    return _fresh_python("-c", _RUN_COMMANDS, json.dumps(argvs), json.dumps(watched))
 
 
 def test_cold_cli_import_leaves_scipy_sparse_unloaded():
@@ -214,7 +220,7 @@ def test_scoring_commands_leave_fit_modules_unloaded(tmp_path):
 def test_fit_loads_fit_modules(tmp_path):
     # the control: the subprocess check above can see these imports at all
     p = {"train.csv": str(tmp_path / "train.csv"), "model.adnd": str(tmp_path / "model.adnd")}
-    assert _loaded_after([_synth_argv(p), _fit_argv(p)]) == list(_FIT_ONLY)
+    assert _loaded_after([_synth_argv(p), _fit_argv(p)], _AFTER_FIT) == list(_FIT_ONLY)
 
 
 def test_no_command_loads_scipy_sparse(tmp_path):
@@ -223,4 +229,5 @@ def test_no_command_loads_scipy_sparse(tmp_path):
                "--n-test", "10", "--trials", "2", "--max-sweeps", "5", "--kh", "4",
                "--ka", "2", "--kb", "2", "--out", str(tmp_path / "fpr.csv")]
     argvs = [_synth_argv(p), _fit_argv(p)] + _scoring_argvs(p, tmp_path) + [fpr_sim]
-    assert _loaded_after(argvs) == list(_FIT_ONLY)
+    pooled = list(_POOL_ONLY) if evaluation.trial_workers(2) > 1 else []
+    assert _loaded_after(argvs, _AFTER_FIT) == list(_FIT_ONLY) + pooled

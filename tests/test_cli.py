@@ -394,6 +394,39 @@ class TestReproducibility:
         )
         return load_model(model)
 
+    # Runs the CLI on sys.argv[2:], first pinning this process to one CPU
+    # when sys.argv[1] is "1". The package, and so BLAS, is loaded before
+    # pinning, so both runs start the same number of BLAS threads.
+    _CLI_ON_CPUS = """
+import os, sys
+from edgeanomaly.cli import main
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(main(sys.argv[2:]))
+"""
+
+    def test_fpr_sim_workers_match_one_cpu_under_blas_threads(self, tmp_path):
+        # forking after BLAS has started its threads neither hangs nor
+        # changes a bit of the result
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        summaries = {}
+        for pinned in ("1", "0"):
+            out = subprocess.run(
+                [sys.executable, "-c", self._CLI_ON_CPUS, pinned, "fpr-sim", "--nodes", "20",
+                 "--n-train", "150", "--n-calib", "150", "--n-test", "40", "--trials", "4",
+                 "--epsilons", "0.1,0.5", "--seed", "5", "--max-sweeps", "40",
+                 "--out", str(tmp_path / f"fpr_{pinned}.csv")],
+                env=env, check=True, capture_output=True, text=True, timeout=120,
+            )
+            summaries[pinned] = out.stdout.splitlines()[0]
+        assert (tmp_path / "fpr_1.csv").read_bytes() == (tmp_path / "fpr_0.csv").read_bytes()
+        assert summaries == {
+            "1": "fpr-sim: trials=4 workers=1",
+            "0": f"fpr-sim: trials=4 workers={min(4, len(os.sched_getaffinity(0)))}",
+        }
+
     def test_fit_agrees_across_blas_thread_counts(self, tmp_path):
         # a few thousand edges over hundreds of nodes, so the topic products
         # are wide enough for BLAS to split

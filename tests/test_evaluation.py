@@ -1,13 +1,18 @@
 """Ranking metrics, curve arithmetic, uniformity diagnostics, and the
 false positive rate simulation harness."""
 
+import concurrent.futures
 import csv
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import oracles
 from edgeanomaly import evaluation
 from edgeanomaly.adnd import HyperParams, TruncationLevels
+from edgeanomaly.cli import main
 from edgeanomaly.evaluation import (
     FprPoint,
     LabeledScores,
@@ -16,6 +21,7 @@ from edgeanomaly.evaluation import (
     ks_uniformity,
     precision_recall_at_k,
     roc_points,
+    trial_workers,
     write_curve_csv,
     write_fpr_csv,
 )
@@ -299,6 +305,90 @@ class TestFprSimulation:
             fpr_simulation(
                 SMOKE_HYPER, SMOKE_TRUNC, 8, 10, 0, 10, [0.1], trials=1, seed=0
             )
+
+
+def tiny_simulation(simulate, trials, orientation="power-corrected", epsilons=(0.1, 0.5)):
+    return simulate(SMOKE_HYPER, SMOKE_TRUNC, 8, 30, 30, 20, epsilons, trials, 5,
+                    orientation, max_sweeps=20)
+
+
+def tiny_simulation_and_workers(trials):
+    return tiny_simulation(fpr_simulation, trials), trial_workers(trials)
+
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool fpr_simulation makes."""
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+@pytest.fixture
+def failing_trial(monkeypatch):
+    """Make trial 1's fit raise; forked workers inherit the patch."""
+    real_fit = evaluation.fit
+
+    def fit(train, *args, seed, **kwargs):
+        if seed.spawn_key[0] == 1:
+            raise ValueError("trial 1 failed to fit")
+        return real_fit(train, *args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fit", fit)
+
+
+class TestFprTrialWorkers:
+    """Trials run in worker processes and give the serial loop's numbers."""
+
+    @pytest.mark.parametrize("orientation", ["power-corrected", "paper"])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7])
+    def test_matches_serial_reference(self, pool_sizes, trials, orientation):
+        got = tiny_simulation(fpr_simulation, trials, orientation)
+        assert got == tiny_simulation(oracles.fpr_simulation, trials, orientation)
+        workers = min(trials, usable_cpus())
+        assert pool_sizes == ([workers] if workers > 1 else [])
+        assert trial_workers(trials) == workers
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert trial_workers(3) == 1
+        assert tiny_simulation(fpr_simulation, 3) == tiny_simulation(oracles.fpr_simulation, 3)
+        assert pool_sizes == []
+
+    def test_repeated_epsilon_counts_once(self):
+        # each listed epsilon gets its own count, so a repeat reads the same
+        single = tiny_simulation(fpr_simulation, 2, epsilons=(0.5,))
+        assert tiny_simulation(fpr_simulation, 2, epsilons=(0.5, 0.5)) == single * 2
+
+    def test_trial_error_propagates_and_workers_exit(self, failing_trial):
+        with pytest.raises(ValueError, match="^trial 1 failed to fit$"):
+            tiny_simulation(fpr_simulation, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_cli_exits_2_on_trial_error(self, failing_trial, tmp_path, capsys):
+        argv = ["fpr-sim", "--nodes", "8", "--n-train", "30", "--n-calib", "30",
+                "--n-test", "20", "--trials", "3", "--kh", "8", "--ka", "4", "--kb", "4",
+                "--max-sweeps", "20", "--out", str(tmp_path / "fpr.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: trial 1 failed to fit\n"
+
+    def test_daemonic_caller_runs_in_process(self):
+        # a multiprocessing.Pool worker is daemonic and may not start children
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            points, workers = pool.apply_async(tiny_simulation_and_workers, (3,)).get(timeout=120)
+        assert workers == 1
+        assert points == tiny_simulation(oracles.fpr_simulation, 3)
 
 
 class TestCsvWriters:
