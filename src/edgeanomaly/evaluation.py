@@ -217,14 +217,28 @@ def fpr_simulation(
     return points
 
 
+# The pipeline steps _fpr_trial calls, as this module was loaded with them.
+_TRIAL_STEPS = {
+    "sample_edges": sample_edges,
+    "fit": fit,
+    "calibration_scores": calibration_scores,
+    "nonconformity_score": nonconformity_score,
+    "conformal_p_values": conformal_p_values,
+}
+
+
 def trial_workers(trials: int) -> int:
     """Processes that fpr_simulation runs `trials` trials in.
 
-    On Linux that is one per usable CPU, at most one per trial. Elsewhere,
-    and inside a daemonic multiprocessing worker, which may not start
-    children, it is 1: the trials run in the calling process.
+    On Linux that is one per usable CPU, at most one per trial. It is 1, so
+    the trials run in the calling process, on other platforms, inside a
+    daemonic multiprocessing worker, which may not start children, and when
+    a caller has replaced one of the pipeline steps a trial calls through
+    this module (a tracer, a test's spy): what the replacement records must
+    land in the caller, not in a worker's copy that exits with the worker.
     """
-    if sys.platform != "linux":
+    names = globals()
+    if sys.platform != "linux" or any(names[n] is not f for n, f in _TRIAL_STEPS.items()):
         return 1
     workers = min(trials, len(os.sched_getaffinity(0)))
     # a daemonic worker was started by multiprocessing, so it has the module
@@ -240,7 +254,8 @@ def _fpr_trial(hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
     """One fpr_simulation trial: (test edges flagged at each epsilon, n_test).
 
     Calls the pipeline through this module's names, so a caller that
-    replaces one of them here (a tracer, a test) sees the trial's calls.
+    replaces one of them here (a tracer, a test) sees the trial's calls;
+    trial_workers then keeps the trials in the caller's process.
     """
     n_pool = n_train + n_calib
     sample_seed, split_seed, fit_seed, u_seed = trial_seq.spawn(4)

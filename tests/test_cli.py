@@ -407,20 +407,25 @@ sys.exit(main(sys.argv[2:]))
 
     def test_fpr_sim_workers_match_one_cpu_under_blas_threads(self, tmp_path):
         # forking after BLAS has started its threads neither hangs nor
-        # changes a bit of the result
+        # changes a bit of the result. A pthreads OpenBLAS joins its threads
+        # before each fork, so Python 3.12+ must not warn that the process
+        # forks while multi-threaded; a BLAS whose threads outlive the fork
+        # (an OpenMP build) makes it warn, and this test fail.
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         summaries = {}
         for pinned in ("1", "0"):
             out = subprocess.run(
-                [sys.executable, "-c", self._CLI_ON_CPUS, pinned, "fpr-sim", "--nodes", "20",
+                [sys.executable, "-W", "always::DeprecationWarning", "-c", self._CLI_ON_CPUS,
+                 pinned, "fpr-sim", "--nodes", "20",
                  "--n-train", "150", "--n-calib", "150", "--n-test", "40", "--trials", "4",
                  "--epsilons", "0.1,0.5", "--seed", "5", "--max-sweeps", "40",
                  "--out", str(tmp_path / f"fpr_{pinned}.csv")],
                 env=env, check=True, capture_output=True, text=True, timeout=120,
             )
             summaries[pinned] = out.stdout.splitlines()[0]
+            assert "multi-threaded" not in out.stderr
         assert (tmp_path / "fpr_1.csv").read_bytes() == (tmp_path / "fpr_0.csv").read_bytes()
         assert summaries == {
             "1": "fpr-sim: trials=4 workers=1",

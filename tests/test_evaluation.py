@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from edgeanomaly import evaluation
+from edgeanomaly import adnd, evaluation
 from edgeanomaly.adnd import HyperParams, TruncationLevels
 from edgeanomaly.cli import main
 from edgeanomaly.evaluation import (
@@ -335,16 +335,30 @@ def pool_sizes(monkeypatch):
 
 
 @pytest.fixture
-def failing_trial(monkeypatch):
-    """Make trial 1's fit raise; forked workers inherit the patch."""
-    real_fit = evaluation.fit
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a simulation of two or more trials may pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
-    def fit(train, *args, seed, **kwargs):
+
+# (owner, function) whose replacement makes trial 1 raise. Replacing a
+# pipeline step of evaluation keeps the trials in-process; replacing a
+# function the fit calls inside adnd does not, so workers inherit it.
+FAILURE_SITES = [(evaluation, "fit"), (adnd, "fit_state")]
+
+
+@pytest.fixture(params=FAILURE_SITES, ids=lambda site: f"{site[0].__name__}.{site[1]}")
+def failing_trial(request, monkeypatch, two_cpus, pool_sizes):
+    """Make trial 1's fit raise; returns (pool sizes used, the sizes expected)."""
+    owner, name = request.param
+    real = getattr(owner, name)
+
+    def failing(train, *args, seed, **kwargs):
         if seed.spawn_key[0] == 1:
             raise ValueError("trial 1 failed to fit")
-        return real_fit(train, *args, seed=seed, **kwargs)
+        return real(train, *args, seed=seed, **kwargs)
 
-    monkeypatch.setattr(evaluation, "fit", fit)
+    monkeypatch.setattr(owner, name, failing)
+    return pool_sizes, [] if owner is evaluation else [2]
 
 
 class TestFprTrialWorkers:
@@ -358,6 +372,13 @@ class TestFprTrialWorkers:
         workers = min(trials, usable_cpus())
         assert pool_sizes == ([workers] if workers > 1 else [])
         assert trial_workers(trials) == workers
+        assert multiprocessing.active_children() == []
+
+    def test_more_workers_than_cpus_match(self, monkeypatch, pool_sizes):
+        # four usable CPUs give a pool of four, even on a smaller machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        assert tiny_simulation(fpr_simulation, 7) == tiny_simulation(oracles.fpr_simulation, 7)
+        assert pool_sizes == [4]
         assert multiprocessing.active_children() == []
 
     def test_one_usable_cpu_runs_in_process(self, monkeypatch, pool_sizes):
@@ -374,6 +395,8 @@ class TestFprTrialWorkers:
     def test_trial_error_propagates_and_workers_exit(self, failing_trial):
         with pytest.raises(ValueError, match="^trial 1 failed to fit$"):
             tiny_simulation(fpr_simulation, 3)
+        used, expected = failing_trial
+        assert used == expected
         assert multiprocessing.active_children() == []
 
     def test_cli_exits_2_on_trial_error(self, failing_trial, tmp_path, capsys):
@@ -382,6 +405,27 @@ class TestFprTrialWorkers:
                 "--max-sweeps", "20", "--out", str(tmp_path / "fpr.csv")]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: trial 1 failed to fit\n"
+        used, expected = failing_trial
+        assert used == expected
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("step", sorted(evaluation._TRIAL_STEPS))
+    def test_replaced_step_sees_every_trial(self, step, monkeypatch, two_cpus, pool_sizes):
+        # a spy records in the caller's process, so the trials stay here
+        calls = []
+        real = getattr(evaluation, step)
+
+        def spy(*args, **kwargs):
+            calls.append(step)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, step, spy)
+        assert trial_workers(3) == 1
+        assert tiny_simulation(fpr_simulation, 3) == tiny_simulation(oracles.fpr_simulation, 3)
+        assert pool_sizes == []
+        assert len(calls) == (60 if step == "nonconformity_score" else 3)
+        monkeypatch.setattr(evaluation, step, real)
+        assert trial_workers(3) == 2
 
     def test_daemonic_caller_runs_in_process(self):
         # a multiprocessing.Pool worker is daemonic and may not start children
