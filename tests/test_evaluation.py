@@ -446,6 +446,34 @@ class TestCsvWriters:
         parsed = [tuple(map(float, row)) for row in csv.reader(lines[2:])]
         assert parsed == points
 
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0],
+        [1.0 / 3.0, 2.0 / 3.0],
+        [5e-324, 1e-300],
+        [-0.0, 0.1],
+    ])
+    def test_curve_bytes_equal_the_csv_writer_oracle(self, tmp_path, values):
+        xs = np.array(values)
+        ys = xs[::-1].copy()
+        self._assert_same_bytes(tmp_path, xs, ys)
+
+    def test_roc_curve_bytes_equal_the_csv_writer_oracle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = rng.uniform(size=400) < 0.3
+        scores = rng.normal(size=400) - labels + rng.integers(0, 3, size=400) / 7.0
+        labeled = LabeledScores(scores, labels)
+        self._assert_same_bytes(tmp_path, *roc_points(labeled))
+        _, precision, recall = precision_recall_at_k(labeled)
+        self._assert_same_bytes(tmp_path, recall, precision)
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, xs, ys):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_curve_csv(got, xs, ys, "roc (x=fpr, y=tpr)")
+        oracles.write_curve_csv(want, xs, ys, "roc (x=fpr, y=tpr)")
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().startswith(b"# roc (x=fpr, y=tpr)\nx,y\r\n")
+
     def test_fpr_round_trip(self, tmp_path):
         points = [
             FprPoint(epsilon=0.05, fpr=0.043, stderr=0.0021, n_test=2000),
