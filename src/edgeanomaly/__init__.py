@@ -32,12 +32,9 @@ from .conformal import (
     CalibrationScores,
     Verdicts,
     calibration_scores,
-    conformal_p_value,
-    detect,
     detect_corpus,
     full_conformal_p_values,
     nonconformity_score,
-    tie_broken_rank,
 )
 from .evaluation import (
     FprPoint,
@@ -53,7 +50,6 @@ from .graph_core import (
     EdgeCorpus,
     EdgeCsvError,
     NodeVocab,
-    parse_edge_csv,
     split_train_calib,
     write_edge_csv,
 )

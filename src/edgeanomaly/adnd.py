@@ -42,7 +42,6 @@ __all__ = [
     "stick_weights",
     "expected_log_sticks",
     "stick_posterior",
-    "dirichlet_log_expectation",
     "init_state",
     "update_document_level",
     "update_corpus_level",
@@ -184,13 +183,6 @@ def _stick_shapes(column_mass: np.ndarray, concentration: float):
     shape_a = 1.0 + column_mass[:-1]
     shape_b = concentration + tail_mass[1:]
     return shape_a, shape_b
-
-
-def dirichlet_log_expectation(alpha: np.ndarray) -> np.ndarray:
-    """Rowwise E[log p] for Dirichlet-distributed rows with parameters alpha."""
-    return scipy.special.digamma(alpha) - scipy.special.digamma(
-        alpha.sum(axis=-1, keepdims=True)
-    )
 
 
 def _exp_normalize(logits: np.ndarray) -> np.ndarray:
@@ -458,8 +450,8 @@ class _Sweep:
         setattr(self, f"{side}_stick_digammas", digammas)
 
     def set_topics(self, lam: np.ndarray) -> None:
-        # dirichlet_log_expectation(lam), keeping the digamma terms that the
-        # Dirichlet entropy reuses
+        # rowwise E[log p] of Dirichlet(lam) rows, keeping the digamma terms
+        # that the Dirichlet entropy reuses
         self.digamma_lam = scipy.special.digamma(lam)
         self.elog_topic = self.digamma_lam - scipy.special.digamma(
             np.add.reduce(lam, axis=-1, keepdims=True)
@@ -780,7 +772,7 @@ class SamplerParams:
 
     base is the node distribution underlying the topics; topics holds one
     node distribution per row; each side keeps its atom-to-topic pointers
-    and stick weights. All are conditioned on when computing densities.
+    and stick weights.
     """
 
     base: np.ndarray
@@ -790,26 +782,6 @@ class SamplerParams:
     recv_atoms: np.ndarray
     send_weights: np.ndarray
     recv_weights: np.ndarray
-
-    def sender_marginal(self) -> np.ndarray:
-        """Node distribution of senders given this parameter draw."""
-        return self.send_weights @ self.topics[self.send_atoms]
-
-    def receiver_marginal(self) -> np.ndarray:
-        return self.recv_weights @ self.topics[self.recv_atoms]
-
-    def sequence_log_density(self, corpus: EdgeCorpus) -> float:
-        """Joint log density of an edge sequence given the parameters.
-
-        A sum of per-edge terms, so any permutation of the sequence has the
-        same value up to floating point round-off.
-        """
-        send_marginal = self.sender_marginal()
-        recv_marginal = self.receiver_marginal()
-        return float(
-            np.log(send_marginal[corpus.senders]).sum()
-            + np.log(recv_marginal[corpus.receivers]).sum()
-        )
 
 
 def _draw_tokens(

@@ -259,12 +259,7 @@ def _cmd_detect(args) -> int:
     verdicts = conformal.detect_corpus(
         model, calib, test_corpus, cfg.epsilon, cfg.seed, cfg.orientation
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("src,dst,alpha,p_value,anomalous\n")
-        rows = zip(quote_labels(test_pairs), verdicts.scores.tolist(),
-                   verdicts.p_values.tolist(), verdicts.flagged.tolist())
-        for (src, dst), score, p_value, flag in rows:
-            fh.write(f"{src},{dst},{format_float(score)},{format_float(p_value)},{int(flag)}\n")
+    _write_verdict_csv(args.out, test_pairs, verdicts)
     flagged = int(verdicts.flagged.sum())
     print(
         f"detect: {flagged} of {len(test_pairs)} edges flagged at "
@@ -294,7 +289,10 @@ def _cmd_eval(args) -> int:
         try:
             if reader.fieldnames is None:
                 raise EdgeCsvError(f"{args.scores}: missing header row")
-            rows = list(reader)
+            rows, lines = [], []  # each row and the file line it ends on
+            for row in reader:  # DictReader skips blank lines
+                rows.append(row)
+                lines.append(reader.line_num)
         except csv.Error as err:  # an over-long field, or NUL before Python 3.11
             raise EdgeCsvError(f"{args.scores}:{reader.reader.line_num}: {err}") from err
     column = args.score_column
@@ -307,15 +305,19 @@ def _cmd_eval(args) -> int:
             )
     elif column not in reader.fieldnames:
         raise EdgeCsvError(f"{args.scores}: no column named {column!r}")
-    try:
-        scores = np.array([float(row[column]) for row in rows])
-    except (TypeError, ValueError) as err:
-        raise EdgeCsvError(f"{args.scores}: bad value in column {column!r}: {err}") from err
+    scores = np.empty(len(rows))
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        try:
+            scores[i] = float(row[column])
+        except (TypeError, ValueError) as err:
+            raise EdgeCsvError(
+                f"{args.scores}:{line}: bad value in column {column!r}: {err}"
+            ) from err
     if args.invert:
         scores = -scores
 
     if "label" in reader.fieldnames:
-        labels = _parse_label_column(args.scores, rows)
+        labels = _parse_label_column(args.scores, rows, lines)
     elif args.labels:
         _, labels = read_edge_records(args.labels)
         if labels is None:
@@ -351,12 +353,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_label_column(path, rows) -> np.ndarray:
+def _parse_label_column(path, rows, lines) -> np.ndarray:
     labels = []
-    for i, row in enumerate(rows, start=2):
+    for row, line in zip(rows, lines):
         value = (row.get("label") or "").strip()
         if value not in ("0", "1"):
-            raise EdgeCsvError(f"{path}:{i}: label must be 0 or 1, got {value!r}")
+            raise EdgeCsvError(f"{path}:{line}: label must be 0 or 1, got {value!r}")
         labels.append(value == "1")
     return np.array(labels, dtype=bool)
 
@@ -437,10 +439,28 @@ def _read_corpus(path, vocab=None):
 
 
 def _write_score_csv(path, pairs, column: str, scores) -> None:
+    """Write `src,dst,<column>` rows, one score per (src, dst) label pair.
+
+    Labels go through quote_labels and rows end in LF. Each row is one
+    "%.17g" format, which gives the bytes of format_float per value:
+    %-formatting and format(x, ".17g") call the same float formatter, and a
+    number's text holds nothing that needs quoting.
+    """
+    rows = zip(quote_labels(pairs), scores)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"src,dst,{column}\n")
-        for (src, dst), value in zip(quote_labels(pairs), scores):
-            fh.write(f"{src},{dst},{format_float(value)}\n")
+        fh.writelines("%s,%s,%.17g\n" % (src, dst, value) for (src, dst), value in rows)
+
+
+def _write_verdict_csv(path, pairs, verdicts) -> None:
+    """Write `src,dst,alpha,p_value,anomalous` rows, one per verdict, each
+    formatted as _write_score_csv formats its rows."""
+    rows = zip(quote_labels(pairs), verdicts.scores.tolist(),
+               verdicts.p_values.tolist(), verdicts.flagged.tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("src,dst,alpha,p_value,anomalous\n")
+        fh.writelines("%s,%s,%.17g,%.17g,%d\n" % (src, dst, score, p_value, flag)
+                      for (src, dst), score, p_value, flag in rows)
 
 
 def main(argv=None) -> int:

@@ -28,11 +28,8 @@ __all__ = [
     "Verdicts",
     "nonconformity_score",
     "calibration_scores",
-    "conformal_p_value",
     "conformal_p_values",
     "full_conformal_p_values",
-    "tie_broken_rank",
-    "detect",
     "detect_corpus",
 ]
 
@@ -130,31 +127,6 @@ def _check_u(u_draws) -> np.ndarray:
     return u_draws
 
 
-def conformal_p_value(
-    score: float, calib, u: float, orientation: str = "power-corrected"
-) -> float:
-    """Smoothed p-value of one test score against a calibration set.
-
-    The pooled comparison set is the calibration scores plus the test score
-    itself, so the tie count is always at least one. With n calibration
-    scores the result is (strict + u * ties) / (n + 1), where strict counts
-    pooled scores strictly above the test score for "power-corrected" and
-    strictly below it for "paper". u must lie in [2**-53, 1), which holds
-    every positive draw of numpy's uniform.
-    """
-    scores = _calibration_array(calib)
-    if not np.isfinite(score):
-        raise ValueError("test score must be finite")
-    _check_u(u)
-    _check_orientation(orientation)
-    ties = int(np.count_nonzero(scores == score)) + 1
-    if orientation == "paper":
-        strict = int(np.count_nonzero(scores < score))
-    else:
-        strict = int(np.count_nonzero(scores > score))
-    return (strict + u * ties) / (scores.size + 1)
-
-
 def _counts(scores: np.ndarray, values: np.ndarray, orientation: str):
     """(strict, ties) counts of scores against each value, by binary search.
 
@@ -172,12 +144,17 @@ def _counts(scores: np.ndarray, values: np.ndarray, orientation: str):
 def conformal_p_values(
     test_scores, calib, u_draws, orientation: str = "power-corrected"
 ) -> np.ndarray:
-    """Vectorized conformal_p_value over many test scores.
+    """Smoothed p-value of each test score against a calibration set.
 
-    Counts come from binary search on the sorted calibration scores and feed
-    the same arithmetic as the scalar form, so results match it exactly.
-    Both forms reject non-finite calibration and test scores, on which a
-    sorted search and a direct count would disagree.
+    The pooled comparison set for a test score is the n calibration scores
+    plus the test score itself, so the result is
+    (strict + u * (ties + 1)) / (n + 1), where ties counts calibration
+    scores equal to the test score and strict counts those strictly above
+    it for "power-corrected" and strictly below it for "paper". Each u must
+    lie in [2**-53, 1), which holds every positive draw of numpy's uniform.
+    Counts come from binary search on the sorted calibration scores, so
+    non-finite calibration and test scores, on which a sorted search and a
+    direct count would disagree, are rejected.
     """
     scores = _calibration_array(calib)
     test_scores = np.asarray(test_scores, dtype=float)
@@ -211,47 +188,12 @@ def full_conformal_p_values(
     return (strict + u_draws * ties) / scores.size
 
 
-def tie_broken_rank(values, index: int, u_draws) -> int:
-    """Ascending rank of values[index] after a shared tie-breaking jitter.
-
-    Distinct values rank directly. Otherwise every value moves by xi times
-    its own uniform draw from (-1, 1), where xi is half the smallest gap
-    between distinct values (one when all values are equal), which is small
-    enough to never reorder distinct values.
-    """
-    values = np.asarray(values, dtype=float)
-    pivot = values[index]
-    distinct = np.unique(values)
-    if distinct.size == values.size:
-        return int(np.count_nonzero(values <= pivot))
-    jitter_scale = 1.0 if distinct.size == 1 else float(np.min(np.diff(distinct)) / 2.0)
-    moved = values + jitter_scale * np.asarray(u_draws, dtype=float)
-    return int(np.count_nonzero(moved <= moved[index]))
-
-
 def _positive_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform draws from the open interval (0, 1); redraw the measure-zero 0."""
     u = rng.uniform(size=size)
     while np.any(u == 0.0):
         u[u == 0.0] = rng.uniform(size=int(np.count_nonzero(u == 0.0)))
     return u
-
-
-def detect(
-    model: FittedModel,
-    calib,
-    edge: Edge,
-    epsilon: float,
-    seed: int,
-    orientation: str = "power-corrected",
-) -> Verdicts:
-    """Score one edge, draw the smoothing uniform, and threshold at epsilon.
-
-    The same as detect_corpus over a corpus holding just this edge, so the
-    result holds one entry.
-    """
-    single = EdgeCorpus([edge.sender], [edge.receiver], model.vocab)
-    return detect_corpus(model, calib, single, epsilon, seed, orientation)
 
 
 def detect_corpus(

@@ -19,7 +19,6 @@ __all__ = [
     "corpus_from_pairs",
     "split_train_calib",
     "read_edge_records",
-    "parse_edge_csv",
     "write_edge_csv",
     "quote_labels",
     "format_float",
@@ -318,12 +317,6 @@ def _csv_records(path, text):
     except csv.Error as err:
         raise EdgeCsvError(f"{path}:{reader.line_num}: {err}") from err
     return pairs, (np.array(labels, dtype=bool) if labeled else None)
-
-
-def parse_edge_csv(path, vocab: NodeVocab | None = None):
-    """Parse an edge CSV into (EdgeCorpus, optional label array)."""
-    pairs, labels = read_edge_records(path)
-    return corpus_from_pairs(pairs, vocab), labels
 
 
 def quote_labels(pairs) -> list[tuple[str, str]]:

@@ -9,7 +9,7 @@ import csv
 import json
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import digamma, xlogy
 
 from edgeanomaly.adnd import fit, sample_edges
 from edgeanomaly.conformal import (
@@ -19,10 +19,84 @@ from edgeanomaly.conformal import (
     nonconformity_score,
 )
 from edgeanomaly.evaluation import FprPoint
-from edgeanomaly.graph_core import Edge, EdgeCsvError, _split_by_count, format_float
+from edgeanomaly.graph_core import (
+    Edge,
+    EdgeCsvError,
+    _split_by_count,
+    format_float,
+    quote_labels,
+)
 
 _HEADER_PLAIN = ["src", "dst"]
 _HEADER_LABELED = ["src", "dst", "label"]
+
+
+def conformal_p_value(score, calib, u, orientation="power-corrected"):
+    """Smoothed p-value of one test score, by counting the calibration
+    scores one at a time.
+
+    The pooled set is the calibration scores plus the test score, so the
+    tie count starts at one; strict counts scores above the test score for
+    "power-corrected" and below it for "paper". The result is
+    (strict + u * ties) / (n + 1), the arithmetic conformal_p_values must
+    reproduce bit for bit. Inputs are not validated.
+    """
+    scores = [float(s) for s in np.ravel(getattr(calib, "scores", calib))]
+    above = sum(1 for s in scores if s > score)
+    below = sum(1 for s in scores if s < score)
+    ties = 1 + sum(1 for s in scores if s == score)
+    strict = below if orientation == "paper" else above
+    return (strict + u * ties) / (len(scores) + 1)
+
+
+def tie_broken_rank(values, index, u_draws):
+    """Ascending rank of values[index] after a shared tie-breaking jitter.
+
+    Distinct values rank directly. Otherwise every value moves by xi times
+    its own draw from (-1, 1), where xi is half the smallest gap between
+    distinct values (one when all values are equal), which is small enough
+    to never reorder distinct values.
+    """
+    values = [float(v) for v in values]
+    distinct = sorted(set(values))
+    if len(distinct) == len(values):
+        moved = values
+    else:
+        gaps = [hi - lo for lo, hi in zip(distinct, distinct[1:])]
+        jitter_scale = min(gaps) / 2.0 if gaps else 1.0
+        moved = [v + jitter_scale * float(u) for v, u in zip(values, u_draws)]
+    return sum(1 for m in moved if m <= moved[index])
+
+
+def sender_marginal(params):
+    """Node distribution of senders given a SamplerParams draw."""
+    return params.send_weights @ params.topics[params.send_atoms]
+
+
+def receiver_marginal(params):
+    """Node distribution of receivers given a SamplerParams draw."""
+    return params.recv_weights @ params.topics[params.recv_atoms]
+
+
+def sequence_log_density(params, corpus):
+    """Joint log density of an edge sequence given a SamplerParams draw.
+
+    A sum of one term per endpoint, taken edge by edge in corpus order, so
+    any permutation of the sequence has the same value up to round-off.
+    """
+    send = sender_marginal(params)
+    recv = receiver_marginal(params)
+    total = 0.0
+    for sender, receiver in zip(corpus.senders.tolist(), corpus.receivers.tolist()):
+        total += np.log(send[sender]) + np.log(recv[receiver])
+    return float(total)
+
+
+def dirichlet_log_expectation(alpha):
+    """Rowwise E[log p] for Dirichlet-distributed rows with parameters alpha:
+    digamma of each entry minus digamma of its row's sum."""
+    alpha = np.asarray(alpha, dtype=float)
+    return digamma(alpha) - digamma(alpha.sum(axis=-1, keepdims=True))
 
 
 def token_counts(edge_resp, tokens, dim):
@@ -230,3 +304,23 @@ def write_curve_csv(path, xs, ys, curve_name):
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
         writer.writerows([format_float(x), format_float(y)] for x, y in zip(xs, ys))
+
+
+def write_score_csv(path, pairs, column, scores):
+    """The score writer before it formatted whole rows: one format_float
+    call and one write per row, LF row ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"src,dst,{column}\n")
+        for (src, dst), value in zip(quote_labels(pairs), scores):
+            fh.write(f"{src},{dst},{format_float(value)}\n")
+
+
+def write_verdict_csv(path, pairs, verdicts):
+    """The detect writer before it formatted whole rows: one format_float
+    call per value and one write per row, LF row ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("src,dst,alpha,p_value,anomalous\n")
+        rows = zip(quote_labels(pairs), verdicts.scores.tolist(),
+                   verdicts.p_values.tolist(), verdicts.flagged.tolist())
+        for (src, dst), score, p_value, flag in rows:
+            fh.write(f"{src},{dst},{format_float(score)},{format_float(p_value)},{int(flag)}\n")

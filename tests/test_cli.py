@@ -9,9 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeanomaly.adnd import load_model
+from edgeanomaly import cli
+from edgeanomaly.adnd import LOG_FLOOR, load_model
 from edgeanomaly.cli import UsageError, load_config_file, main
+from edgeanomaly.conformal import Verdicts
 from edgeanomaly.graph_core import write_edge_csv
+
+import oracles
 
 
 FAST = ["--kh", "8", "--ka", "4", "--kb", "4", "--max-sweeps", "60"]
@@ -230,6 +234,40 @@ class TestQuotedLabels:
         assert any(line.startswith('"q""t",') for line in lines)
 
 
+class TestRowWriters:
+    """The score and detect writers give the bytes of the per-value writers
+    in tests/oracles.py."""
+
+    LABELS = ["x,y", 'q"t', "line\nbreak", "cr\rhere", "a b", "plain", "\u00e9"]
+    # zero, the least subnormal, a 17-digit value, the LOG_FLOOR clamp, p = 1
+    VALUES = [0.0, 5e-324, 1.0 / 3.0, -LOG_FLOOR, 1.0, 0.05, 2.5e-17]
+
+    def _pairs(self):
+        k = len(self.LABELS)
+        return [(self.LABELS[i % k], self.LABELS[(3 * i + 1) % k])
+                for i in range(len(self.VALUES))]
+
+    @pytest.mark.parametrize("column", ["alpha", "rhss_score"])
+    def test_score_csv_bytes_equal_the_oracle(self, tmp_path, column):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_score_csv(got, self._pairs(), column, self.VALUES)
+        oracles.write_score_csv(want, self._pairs(), column, self.VALUES)
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_bytes().decode().split("\n")
+        assert lines[1] == '"x,y","q""t",0'
+        assert lines[2] == '"q""t",a b,4.9406564584124654e-324'
+
+    def test_verdict_csv_bytes_equal_the_oracle(self, tmp_path):
+        p_values = [1.0, 1.0 / 3.0, 5e-324, 0.0, 0.05, 1.0, 0.5]
+        verdicts = Verdicts(self.VALUES, p_values, [0.5] * len(p_values), epsilon=0.05)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_verdict_csv(got, self._pairs(), verdicts)
+        oracles.write_verdict_csv(want, self._pairs(), verdicts)
+        assert got.read_bytes() == want.read_bytes()
+        text = got.read_bytes().decode()
+        assert ",745,0,1\n" in text and ",4.9406564584124654e-324,1\n" in text
+
+
 class TestConfigFile:
     def test_flags_override_config_file(self, pipeline, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -331,6 +369,22 @@ class TestExitCodes:
             csv.field_size_limit(old_limit)
         assert rc == 2
         assert "scores.csv:3: field larger than field limit" in capsys.readouterr().err
+
+    # csv.DictReader skips blank lines, so counting its rows put the error
+    # one line early; the bad row here is on line 4, after a blank line 3.
+    def test_eval_bad_label_reports_its_file_line(self, tmp_path, capsys):
+        scores = tmp_path / "bad.csv"
+        scores.write_text("src,dst,score,label\na,b,0.5,1\n\nc,d,0.25,2\n")
+        rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")])
+        assert rc == 2
+        assert "bad.csv:4: label must be 0 or 1, got '2'" in capsys.readouterr().err
+
+    def test_eval_bad_score_reports_its_file_line(self, tmp_path, capsys):
+        scores = tmp_path / "bad.csv"
+        scores.write_text("src,dst,score,label\na,b,0.5,1\n\nc,d,high,0\n")
+        rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")])
+        assert rc == 2
+        assert "bad.csv:4: bad value in column 'score'" in capsys.readouterr().err
 
     def test_bad_model_magic_is_data_error(self, pipeline, tmp_path, capsys):
         fake = tmp_path / "fake.adnd"

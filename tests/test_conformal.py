@@ -12,16 +12,20 @@ from edgeanomaly.conformal import (
     CalibrationScores,
     Verdicts,
     calibration_scores,
-    conformal_p_value,
     conformal_p_values,
-    detect,
     detect_corpus,
     full_conformal_p_values,
     nonconformity_score,
-    tie_broken_rank,
 )
 from edgeanomaly.evaluation import ks_uniformity
 from edgeanomaly.graph_core import Edge, EdgeCorpus, NodeVocab, split_train_calib
+
+import oracles
+
+
+def p_value(score, calib, u, orientation="power-corrected"):
+    """conformal_p_values of a single test score and draw, as a float."""
+    return float(conformal_p_values([score], calib, [u], orientation)[0])
 
 
 def brute_force_p(pooled, test_value, u, orientation):
@@ -38,42 +42,40 @@ class TestConformalPValue:
     CALIB = CalibrationScores(np.array([1.0, 2.0, 3.0, 4.0]))
 
     def test_power_corrected_example(self):
-        assert conformal_p_value(2.5, self.CALIB, 0.5) == 0.5
+        assert p_value(2.5, self.CALIB, 0.5) == 0.5
 
     def test_paper_orientation_example(self):
-        assert conformal_p_value(10.0, self.CALIB, 0.5, "paper") == 0.9
+        assert p_value(10.0, self.CALIB, 0.5, "paper") == 0.9
 
     def test_all_ties_collapse_to_u(self):
         calib = CalibrationScores(np.full(6, 7.7))
         for u in (0.1, 0.31, 0.99):
-            assert conformal_p_value(7.7, calib, u) == u
-            assert conformal_p_value(7.7, calib, u, "paper") == u
+            assert p_value(7.7, calib, u) == u
+            assert p_value(7.7, calib, u, "paper") == u
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             calib = rng.standard_normal(rng.integers(1, 30))
-            p = conformal_p_value(rng.standard_normal(), calib, rng.uniform(0.01, 0.99))
+            p = p_value(rng.standard_normal(), calib, rng.uniform(0.01, 0.99))
             assert 0.0 < p < 1.0
 
     def test_empty_calibration_raises(self):
         with pytest.raises(ValueError):
-            conformal_p_value(1.0, np.array([]), 0.5)
+            p_value(1.0, np.array([]), 0.5)
 
     @pytest.mark.parametrize("u", [0.0, 1.0, -0.2, 1.7])
     def test_u_out_of_range_raises(self, u):
         with pytest.raises(ValueError):
-            conformal_p_value(1.0, self.CALIB, u)
+            p_value(1.0, self.CALIB, u)
 
-    # A subnormal draw rounded the p-value down to exactly 0.0 in the scalar
-    # and vector forms: calibration [-1.0], test score 0.0, u = 5e-324.
+    # A subnormal draw rounded the p-value down to exactly 0.0: calibration
+    # [-1.0], test score 0.0, u = 5e-324.
     @pytest.mark.parametrize(
         "u", [5e-324, np.nextafter(0.0, 1.0), 2.0**-54, np.nan],
         ids=["5e-324", "nextafter", "2**-54", "nan"],
     )
     def test_u_below_least_uniform_draw_rejected_by_every_form(self, u):
-        with pytest.raises(ValueError, match="u draws"):
-            conformal_p_value(0.0, [-1.0], u)
         with pytest.raises(ValueError, match="u draws"):
             conformal_p_values([0.0], [-1.0], [u])
         with pytest.raises(ValueError, match="u draws"):
@@ -83,29 +85,24 @@ class TestConformalPValue:
         u = 2.0**-53
         # the test score is the lone extreme of two, so every p-value is u / 2
         for orientation, calib in (("power-corrected", [-1.0]), ("paper", [1.0])):
-            assert conformal_p_value(0.0, calib, u, orientation) > 0.0
             assert conformal_p_values([0.0], calib, [u], orientation)[0] > 0.0
             assert full_conformal_p_values([0.0] + calib, [u, 0.5], orientation)[0] > 0.0
 
     def test_unknown_orientation_raises(self):
         with pytest.raises(ValueError):
-            conformal_p_value(1.0, self.CALIB, 0.5, "sideways")
+            p_value(1.0, self.CALIB, 0.5, "sideways")
 
     # A raw calibration array bypasses CalibrationScores. With a NaN in it the
-    # sorted search and the direct count disagreed: 0.3 against 0.1 for test
-    # score 0.5 at u = 0.5 against [0.1, 0.2, 0.3, nan].
+    # sorted search and a direct count disagreed: 0.3 against 0.1 for test
+    # score 0.5 at u = 0.5 against [0.1, 0.2, 0.3, nan]. Both forms of the
+    # calibration set, wrapped and raw, reject it.
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_calibration_rejected_by_both_forms(self, bad):
         calib = np.array([0.1, 0.2, 0.3, bad])
         with pytest.raises(ValueError, match="calibration scores must be finite"):
-            conformal_p_value(0.5, calib, 0.5)
+            CalibrationScores(calib)
         with pytest.raises(ValueError, match="calibration scores must be finite"):
             conformal_p_values([0.5], calib, [0.5])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_test_score_rejected_by_scalar_form(self, bad):
-        with pytest.raises(ValueError, match="test score must be finite"):
-            conformal_p_value(bad, self.CALIB, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_test_score_rejected_by_vector_form(self, bad):
@@ -121,9 +118,7 @@ class TestConformalPValue:
                         expected = brute_force_p(
                             list(calib) + [test_value], test_value, u, orientation
                         )
-                        actual = conformal_p_value(
-                            test_value, np.array(calib), u, orientation
-                        )
+                        actual = p_value(test_value, np.array(calib), u, orientation)
                         assert actual == expected
 
     def test_vectorized_equals_scalar(self):
@@ -134,7 +129,7 @@ class TestConformalPValue:
         for orientation in ("power-corrected", "paper"):
             batch = conformal_p_values(tests, calib, u, orientation)
             scalar = [
-                conformal_p_value(t, calib, uu, orientation)
+                oracles.conformal_p_value(t, calib, uu, orientation)
                 for t, uu in zip(tests, u)
             ]
             np.testing.assert_array_equal(batch, scalar)
@@ -147,7 +142,7 @@ class TestConformalPValue:
         for _ in range(50):
             test_value = float(np.round(rng.standard_normal(), 1))
             u = float(rng.uniform(0.01, 0.99))
-            total = conformal_p_value(test_value, calib, u, "paper") + conformal_p_value(
+            total = p_value(test_value, calib, u, "paper") + p_value(
                 test_value, calib, 1.0 - u, "power-corrected"
             )
             assert abs(total - 1.0) < 1e-12
@@ -173,7 +168,7 @@ class TestConformalPValue:
         for orientation in ("power-corrected", "paper"):
             p = np.array(
                 [
-                    conformal_p_value(scores[i, 0], scores[i, 1:], u[i], orientation)
+                    p_value(scores[i, 0], scores[i, 1:], u[i], orientation)
                     for i in range(trials)
                 ]
             )
@@ -185,7 +180,7 @@ class TestConformalPValue:
         scores = rng.standard_normal((trials, m + 1))
         u = rng.uniform(1e-9, 1.0, size=trials)
         p = np.array(
-            [conformal_p_value(scores[i, 0], scores[i, 1:], u[i]) for i in range(trials)]
+            [p_value(scores[i, 0], scores[i, 1:], u[i]) for i in range(trials)]
         )
         for eps in (0.1, 0.3):
             rate = np.mean(p <= eps)
@@ -233,7 +228,7 @@ class TestConformalPValueProperties:
         calib, tests, u_draws, orientation = case
         batch = conformal_p_values(tests, calib, u_draws, orientation)
         for p, test_score, u in zip(batch.tolist(), tests.tolist(), u_draws.tolist()):
-            assert p == conformal_p_value(test_score, calib, u, orientation)
+            assert p == oracles.conformal_p_value(test_score, calib, u, orientation)
 
 
 class TestFullConformal:
@@ -270,13 +265,15 @@ class TestFullConformal:
 
 
 class TestTieBrokenRank:
+    """The rank oracle that criterion 3 checks the rank law with."""
+
     def test_distinct_values_rank_directly(self):
-        assert tie_broken_rank([3.0, 1.0, 2.0], 0, [0.0, 0.0, 0.0]) == 3
-        assert tie_broken_rank([3.0, 1.0, 2.0], 1, [0.0, 0.0, 0.0]) == 1
+        assert oracles.tie_broken_rank([3.0, 1.0, 2.0], 0, [0.0, 0.0, 0.0]) == 3
+        assert oracles.tie_broken_rank([3.0, 1.0, 2.0], 1, [0.0, 0.0, 0.0]) == 1
 
     def test_all_equal_uses_unit_jitter_scale(self):
-        assert tie_broken_rank([5.0, 5.0], 0, [-0.5, 0.5]) == 1
-        assert tie_broken_rank([5.0, 5.0], 1, [-0.5, 0.5]) == 2
+        assert oracles.tie_broken_rank([5.0, 5.0], 0, [-0.5, 0.5]) == 1
+        assert oracles.tie_broken_rank([5.0, 5.0], 1, [-0.5, 0.5]) == 2
 
     def test_jitter_never_reorders_distinct_values(self):
         rng = np.random.default_rng(3)
@@ -287,14 +284,15 @@ class TestTieBrokenRank:
             for lo, hi in zip(order[:-1], order[1:]):
                 if values[lo] == values[hi]:
                     continue
-                assert tie_broken_rank(values, lo, u) < tie_broken_rank(values, hi, u)
+                assert (oracles.tie_broken_rank(values, lo, u)
+                        < oracles.tie_broken_rank(values, hi, u))
 
     def test_ranks_form_a_permutation(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             values = rng.integers(0, 3, size=9).astype(float)
             u = rng.uniform(-1.0, 1.0, size=9)
-            ranks = sorted(tie_broken_rank(values, i, u) for i in range(9))
+            ranks = sorted(oracles.tie_broken_rank(values, i, u) for i in range(9))
             assert ranks == list(range(1, 10))
 
 
@@ -311,11 +309,16 @@ def pipeline():
     return model, calib, test
 
 
+def _one_edge(corpus, i):
+    """The corpus of the i-th edge alone."""
+    return corpus.subset(slice(i, i + 1))
+
+
 class TestDetect:
     def test_verdict_fields_consistent(self, pipeline):
         model, calib, test = pipeline
         edge = next(iter(test))
-        verdicts = detect(model, calib, edge, epsilon=0.3, seed=5)
+        verdicts = detect_corpus(model, calib, _one_edge(test, 0), epsilon=0.3, seed=5)
         assert verdicts.scores.size == 1
         assert verdicts.scores[0] == nonconformity_score(model, edge)
         assert 0.0 <= verdicts.p_values[0] <= 1.0
@@ -324,20 +327,20 @@ class TestDetect:
 
     def test_deterministic_given_seed(self, pipeline):
         model, calib, test = pipeline
-        edge = list(test)[1]
-        a = detect(model, calib, edge, epsilon=0.1, seed=9)
-        b = detect(model, calib, edge, epsilon=0.1, seed=9)
+        one = _one_edge(test, 1)
+        a = detect_corpus(model, calib, one, epsilon=0.1, seed=9)
+        b = detect_corpus(model, calib, one, epsilon=0.1, seed=9)
         for name in ("scores", "p_values", "u_draws", "flagged"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_detect_draws_the_seeds_first_uniform(self, pipeline):
         model, calib, test = pipeline
         for seed, edge in enumerate(test):
-            verdicts = detect(model, calib, edge, epsilon=0.1, seed=seed)
+            verdicts = detect_corpus(model, calib, _one_edge(test, seed), epsilon=0.1, seed=seed)
             u = np.random.default_rng(seed).uniform()
             assert verdicts.u_draws[0] == u
             score = nonconformity_score(model, edge)
-            assert verdicts.p_values[0] == conformal_p_value(score, calib, u)
+            assert verdicts.p_values[0] == oracles.conformal_p_value(score, calib, u)
 
     def test_epsilon_near_one_flags_everything(self, pipeline):
         model, calib, test = pipeline
@@ -348,16 +351,16 @@ class TestDetect:
     def test_bad_epsilon_raises(self, pipeline, eps):
         model, calib, test = pipeline
         with pytest.raises(ValueError):
-            detect(model, calib, next(iter(test)), epsilon=eps, seed=0)
+            detect_corpus(model, calib, _one_edge(test, 0), epsilon=eps, seed=0)
 
     def test_detect_corpus_matches_scalar_detect(self, pipeline):
         model, calib, test = pipeline
         verdicts = detect_corpus(model, calib, test, epsilon=0.2, seed=77)
-        # same u stream: scalar path consumes one draw per call
+        # one draw per edge, in corpus order, from the seed's stream
         u_draws = np.random.default_rng(77).uniform(size=len(test))
-        for edge, p_value, u in zip(test, verdicts.p_values, u_draws):
+        for edge, p, u in zip(test, verdicts.p_values, u_draws):
             score = nonconformity_score(model, edge)
-            assert p_value == conformal_p_value(score, calib, u)
+            assert p == oracles.conformal_p_value(score, calib, u)
 
 
 class TestVerdicts:

@@ -16,7 +16,6 @@ from edgeanomaly.graph_core import (
     EdgeCsvError,
     NodeVocab,
     corpus_from_pairs,
-    parse_edge_csv,
     quote_labels,
     read_edge_records,
     split_train_calib,
@@ -180,7 +179,8 @@ class TestEdgeCsv:
         path = tmp_path / "edges.csv"
         pairs = [("a", "b"), ("b", "c"), ("a", "b")]
         write_edge_csv(path, pairs)
-        corpus, labels = parse_edge_csv(path)
+        records, labels = read_edge_records(path)
+        corpus = corpus_from_pairs(records)
         assert labels is None
         assert corpus.n == 3
         assert corpus.vocab.labels == ("a", "b", "c")
@@ -191,7 +191,7 @@ class TestEdgeCsv:
         pairs = [("u", "v")] * 307
         labels = [True] * 140 + [False] * 167
         write_edge_csv(path, pairs, labels)
-        _, parsed = parse_edge_csv(path)
+        _, parsed = read_edge_records(path)
         assert parsed is not None
         assert int(parsed.sum()) == 140
         assert parsed.size == 307
@@ -200,48 +200,49 @@ class TestEdgeCsv:
         path = tmp_path / "edges.csv"
         write_edge_csv(path, [("a", "mallory"), ("mallory", "b")])
         vocab = NodeVocab(["a", "b", "c"]).freeze()
-        corpus, _ = parse_edge_csv(path, vocab)
+        pairs, _ = read_edge_records(path)
+        corpus = corpus_from_pairs(pairs, vocab)
         assert list(corpus) == [Edge(0, 3), Edge(3, 1)]
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
-            parse_edge_csv(tmp_path / "absent.csv")
+            read_edge_records(tmp_path / "absent.csv")
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(EdgeCsvError, match="missing header"):
-            parse_edge_csv(path)
+            read_edge_records(path)
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("from,to\na,b\n")
         with pytest.raises(EdgeCsvError, match="bad header"):
-            parse_edge_csv(path)
+            read_edge_records(path)
 
     def test_missing_field_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst\na,b\nc\n")
         with pytest.raises(EdgeCsvError, match=r":3:"):
-            parse_edge_csv(path)
+            read_edge_records(path)
 
     def test_empty_field_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst\na,\n")
         with pytest.raises(EdgeCsvError, match=r":2:"):
-            parse_edge_csv(path)
+            read_edge_records(path)
 
     def test_bad_label_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst,label\na,b,1\na,b,2\n")
         with pytest.raises(EdgeCsvError, match=r":3:.*label"):
-            parse_edge_csv(path)
+            read_edge_records(path)
 
     def test_extra_field_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("src,dst\na,b,c\n")
         with pytest.raises(EdgeCsvError, match=r":2:"):
-            parse_edge_csv(path)
+            read_edge_records(path)
 
     def test_read_edge_records_keeps_raw_pairs(self, tmp_path):
         path = tmp_path / "edges.csv"
