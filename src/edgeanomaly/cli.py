@@ -24,6 +24,7 @@ from .graph_core import (
     quote_labels,
     read_edge_records,
     write_edge_csv,
+    write_rows,
 )
 
 __all__ = ["RunConfig", "UsageError", "load_config_file", "main"]
@@ -109,7 +110,7 @@ def load_config_file(path) -> dict:
 
 def _resolve_config(args) -> RunConfig:
     """Merge flag values over config file values over defaults."""
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = load_config_file(args.config) if args.config else {}
     merged = dict(file_values)
     for name in _CONFIG_CASTS:
         flag_value = getattr(args, name, None)
@@ -118,7 +119,8 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _add_config_flags(parser, *, model_flags=True, detect_flags=False):
+def _add_config_flags(parser, *, model_flags=False, fit_flags=False,
+                      epsilon_flag=False, orientation_flag=False):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int)
     if model_flags:
@@ -128,10 +130,12 @@ def _add_config_flags(parser, *, model_flags=True, detect_flags=False):
         parser.add_argument("--kh", type=int, help="shared topic truncation")
         parser.add_argument("--ka", type=int, help="sender atom truncation")
         parser.add_argument("--kb", type=int, help="receiver atom truncation")
+    if fit_flags:
         parser.add_argument("--max-sweeps", dest="max_sweeps", type=int)
         parser.add_argument("--rel-tol", dest="rel_tol", type=float)
-    if detect_flags:
+    if epsilon_flag:
         parser.add_argument("--epsilon", type=float, help="flagging threshold")
+    if orientation_flag:
         parser.add_argument(
             "--orientation", choices=list(conformal.ORIENTATIONS), default=None
         )
@@ -144,14 +148,13 @@ def build_parser() -> _Parser:
     p_fit = commands.add_parser("fit", help="fit a model on an edge CSV")
     p_fit.add_argument("--train", required=True, help="training edge CSV")
     p_fit.add_argument("--model", required=True, help="output model path")
-    _add_config_flags(p_fit)
+    _add_config_flags(p_fit, model_flags=True, fit_flags=True)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_score = commands.add_parser("score", help="nonconformity score per edge")
     p_score.add_argument("--model", required=True)
     p_score.add_argument("--edges", required=True, help="edge CSV to score")
     p_score.add_argument("--out", required=True, help="output CSV")
-    _add_config_flags(p_score, model_flags=False)
     p_score.set_defaults(func=_cmd_score)
 
     p_detect = commands.add_parser("detect", help="conformal verdicts per edge")
@@ -159,7 +162,7 @@ def build_parser() -> _Parser:
     p_detect.add_argument("--calib", required=True, help="calibration edge CSV")
     p_detect.add_argument("--test", required=True, help="test edge CSV")
     p_detect.add_argument("--out", required=True, help="output CSV")
-    _add_config_flags(p_detect, model_flags=False, detect_flags=True)
+    _add_config_flags(p_detect, epsilon_flag=True, orientation_flag=True)
     p_detect.set_defaults(func=_cmd_detect)
 
     p_rhss = commands.add_parser("rhss", help="baseline scores per edge")
@@ -197,7 +200,7 @@ def build_parser() -> _Parser:
         default=None,
         help="seed for the anomalous draw (default: seed + 1)",
     )
-    _add_config_flags(p_synth)
+    _add_config_flags(p_synth, model_flags=True)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_fpr = commands.add_parser("fpr-sim", help="false positive rate simulation")
@@ -210,7 +213,7 @@ def build_parser() -> _Parser:
     )
     p_fpr.add_argument("--trials", type=int, default=1)
     p_fpr.add_argument("--out", required=True, help="output CSV")
-    _add_config_flags(p_fpr, detect_flags=True)
+    _add_config_flags(p_fpr, model_flags=True, fit_flags=True, orientation_flag=True)
     p_fpr.set_defaults(func=_cmd_fpr_sim)
 
     return parser
@@ -239,12 +242,19 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# Rows of `score` and `rhss`, and of `detect`: the two quoted node labels,
+# then the values, ending in LF.
+_SCORE_ROW = "%s,%s,%.17g\n"
+_VERDICT_ROW = "%s,%s,%.17g,%.17g,%d\n"
+
+
 def _cmd_score(args) -> int:
     model = adnd.load_model(args.model)
-    pairs, _ = read_edge_records(args.edges)
-    corpus = corpus_from_pairs(pairs, model.vocab)
+    senders, receivers, _ = read_edge_records(args.edges)
+    corpus = corpus_from_pairs(senders, receivers, model.vocab)
     scores = [conformal.nonconformity_score(model, edge) for edge in corpus]
-    _write_score_csv(args.out, pairs, "alpha", scores)
+    write_rows(args.out, "src,dst,alpha\n", _SCORE_ROW,
+               quote_labels(senders), quote_labels(receivers), scores)
     print(f"score: wrote {len(scores)} rows to {args.out}")
     return 0
 
@@ -253,16 +263,18 @@ def _cmd_detect(args) -> int:
     cfg = _resolve_config(args)
     model = adnd.load_model(args.model)
     calib_corpus, _ = _read_corpus(args.calib, model.vocab)
-    test_pairs, _ = read_edge_records(args.test)
-    test_corpus = corpus_from_pairs(test_pairs, model.vocab)
+    senders, receivers, _ = read_edge_records(args.test)
+    test_corpus = corpus_from_pairs(senders, receivers, model.vocab)
     calib = conformal.calibration_scores(model, calib_corpus)
     verdicts = conformal.detect_corpus(
         model, calib, test_corpus, cfg.epsilon, cfg.seed, cfg.orientation
     )
-    _write_verdict_csv(args.out, test_pairs, verdicts)
+    write_rows(args.out, "src,dst,alpha,p_value,anomalous\n", _VERDICT_ROW,
+               quote_labels(senders), quote_labels(receivers), verdicts.scores.tolist(),
+               verdicts.p_values.tolist(), verdicts.flagged.tolist())
     flagged = int(verdicts.flagged.sum())
     print(
-        f"detect: {flagged} of {len(test_pairs)} edges flagged at "
+        f"detect: {flagged} of {len(senders)} edges flagged at "
         f"epsilon={cfg.epsilon:g} ({cfg.orientation})"
     )
     return 0
@@ -272,10 +284,11 @@ def _cmd_rhss(args) -> int:
     train_corpus, _ = _read_corpus(args.train)
     train_corpus.vocab.freeze()
     history = rhss.StreamHistory.from_corpus(train_corpus)
-    test_pairs, _ = read_edge_records(args.test)
-    test_corpus = corpus_from_pairs(test_pairs, train_corpus.vocab)
+    senders, receivers, _ = read_edge_records(args.test)
+    test_corpus = corpus_from_pairs(senders, receivers, train_corpus.vocab)
     scores = [history.rhss_score(edge) for edge in test_corpus]
-    _write_score_csv(args.out, test_pairs, "rhss_score", scores)
+    write_rows(args.out, "src,dst,rhss_score\n", _SCORE_ROW,
+               quote_labels(senders), quote_labels(receivers), scores)
     print(f"rhss: wrote {len(scores)} rows to {args.out}")
     return 0
 
@@ -319,7 +332,7 @@ def _cmd_eval(args) -> int:
     if "label" in reader.fieldnames:
         labels = _parse_label_column(args.scores, rows, lines)
     elif args.labels:
-        _, labels = read_edge_records(args.labels)
+        _, _, labels = read_edge_records(args.labels)
         if labels is None:
             raise EdgeCsvError(f"{args.labels}: has no label column")
     else:
@@ -370,30 +383,30 @@ def _cmd_synth(args) -> int:
     if args.anomalous < 0:
         raise UsageError("--anomalous must be nonnegative")
     corpus = adnd.sample_edges(cfg.hyper(), cfg.trunc(), args.nodes, args.edges, cfg.seed)
-    pairs = _label_pairs(corpus)
+    senders, receivers = _label_columns(corpus)
     if args.anomalous == 0:
-        write_edge_csv(args.out, pairs)
-        print(f"synth: wrote {len(pairs)} edges to {args.out}")
+        write_edge_csv(args.out, senders, receivers)
+        print(f"synth: wrote {corpus.n} edges to {args.out}")
         return 0
     anomaly_seed = args.anomaly_seed if args.anomaly_seed is not None else cfg.seed + 1
     anomalies = adnd.sample_edges(
         cfg.hyper(), cfg.trunc(), args.nodes, args.anomalous, anomaly_seed
     )
-    pairs += _label_pairs(anomalies)
+    anomalous_senders, anomalous_receivers = _label_columns(anomalies)
     labels = [False] * corpus.n + [True] * anomalies.n
-    write_edge_csv(args.out, pairs, labels)
+    write_edge_csv(args.out, senders + anomalous_senders,
+                   receivers + anomalous_receivers, labels)
     print(
         f"synth: wrote {corpus.n} regular + {anomalies.n} anomalous edges to {args.out}"
     )
     return 0
 
 
-def _label_pairs(corpus) -> list[tuple[str, str]]:
-    labels = corpus.vocab.labels
-    return [
-        (labels[u], labels[v])
-        for u, v in zip(corpus.senders.tolist(), corpus.receivers.tolist())
-    ]
+def _label_columns(corpus) -> tuple[list[str], list[str]]:
+    """The node labels of a corpus's senders and of its receivers."""
+    names = corpus.vocab.labels
+    return ([names[u] for u in corpus.senders.tolist()],
+            [names[v] for v in corpus.receivers.tolist()])
 
 
 def _cmd_fpr_sim(args) -> int:
@@ -434,33 +447,8 @@ def _cmd_fpr_sim(args) -> int:
 
 
 def _read_corpus(path, vocab=None):
-    pairs, labels = read_edge_records(path)
-    return corpus_from_pairs(pairs, vocab), labels
-
-
-def _write_score_csv(path, pairs, column: str, scores) -> None:
-    """Write `src,dst,<column>` rows, one score per (src, dst) label pair.
-
-    Labels go through quote_labels and rows end in LF. Each row is one
-    "%.17g" format, which gives the bytes of format_float per value:
-    %-formatting and format(x, ".17g") call the same float formatter, and a
-    number's text holds nothing that needs quoting.
-    """
-    rows = zip(quote_labels(pairs), scores)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"src,dst,{column}\n")
-        fh.writelines("%s,%s,%.17g\n" % (src, dst, value) for (src, dst), value in rows)
-
-
-def _write_verdict_csv(path, pairs, verdicts) -> None:
-    """Write `src,dst,alpha,p_value,anomalous` rows, one per verdict, each
-    formatted as _write_score_csv formats its rows."""
-    rows = zip(quote_labels(pairs), verdicts.scores.tolist(),
-               verdicts.p_values.tolist(), verdicts.flagged.tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("src,dst,alpha,p_value,anomalous\n")
-        fh.writelines("%s,%s,%.17g,%.17g,%d\n" % (src, dst, score, p_value, flag)
-                      for (src, dst), score, p_value, flag in rows)
+    senders, receivers, labels = read_edge_records(path)
+    return corpus_from_pairs(senders, receivers, vocab), labels
 
 
 def main(argv=None) -> int:

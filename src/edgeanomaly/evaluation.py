@@ -3,7 +3,6 @@ rate simulation harness for the full detection pipeline."""
 
 from __future__ import annotations
 
-import csv
 import os
 import sys
 from dataclasses import dataclass
@@ -13,7 +12,7 @@ import numpy as np
 
 from .adnd import HyperParams, TruncationLevels, fit, sample_edges
 from .conformal import calibration_scores, conformal_p_values, nonconformity_score, _positive_uniform
-from .graph_core import _split_by_count, format_float
+from .graph_core import _split_by_count, write_rows
 
 __all__ = [
     "LabeledScores",
@@ -283,28 +282,14 @@ def write_curve_csv(path, xs, ys, curve_name: str) -> None:
     """Write a curve as x,y rows under a `# curve_name` comment line.
 
     The rows end in CRLF, as csv.writer ends them, and carry 17 significant
-    digits, so a reread is bit exact. One "%.17g" format per row gives the
-    same bytes as format_float per value: %-formatting and format(x, ".17g")
-    call the same float formatter, and a number's text holds no character
-    that csv.writer would quote.
+    digits, so a reread is bit exact.
     """
-    rows = zip(np.asarray(xs, dtype=float).tolist(), np.asarray(ys, dtype=float).tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {curve_name}\nx,y\r\n")
-        fh.writelines("%.17g,%.17g\r\n" % row for row in rows)
+    write_rows(path, f"# {curve_name}\nx,y\r\n", "%.17g,%.17g\r\n",
+               np.asarray(xs, dtype=float).tolist(), np.asarray(ys, dtype=float).tolist())
 
 
 def write_fpr_csv(path, points) -> None:
-    """Write FprPoint rows with full-precision floats."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "empirical_fpr", "stderr", "n_test"])
-        for point in points:
-            writer.writerow(
-                [
-                    format_float(point.epsilon),
-                    format_float(point.fpr),
-                    format_float(point.stderr),
-                    point.n_test,
-                ]
-            )
+    """Write FprPoint rows with full-precision floats and CRLF row ends."""
+    write_rows(path, "epsilon,empirical_fpr,stderr,n_test\r\n", "%.17g,%.17g,%.17g,%d\r\n",
+               [p.epsilon for p in points], [p.fpr for p in points],
+               [p.stderr for p in points], [p.n_test for p in points])

@@ -7,7 +7,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "split_train_calib",
     "read_edge_records",
     "write_edge_csv",
+    "write_rows",
     "quote_labels",
     "format_float",
 ]
@@ -171,24 +172,31 @@ class EdgeCorpus:
         return f"EdgeCorpus({self.n} edges, {self.vocab.num_nodes} nodes)"
 
 
-def corpus_from_pairs(pairs, vocab: NodeVocab | None = None) -> EdgeCorpus:
-    """Build a corpus from a sequence of (src, dst) label pairs.
+def corpus_from_pairs(senders, receivers, vocab: NodeVocab | None = None) -> EdgeCorpus:
+    """Build a corpus from two equal-length columns of node labels.
 
-    Without a vocabulary, labels are interned in order of first appearance,
-    the sender of each pair before its receiver. A frozen vocabulary maps
-    unknown labels to its reserved unseen slot.
+    Edge i runs from senders[i] to receivers[i]. Without a vocabulary,
+    labels are interned in order of first appearance, row by row and the
+    sender before the receiver. A frozen vocabulary maps unknown labels to
+    its reserved unseen slot.
     """
     if vocab is None:
         vocab = NodeVocab()
-    if set(map(len, pairs)) - {2}:
-        raise ValueError("every pair must hold exactly a sender and a receiver")
+    n = len(senders)
+    if len(receivers) != n:
+        raise ValueError(
+            f"senders and receivers must have equal length, got {n} and {len(receivers)}"
+        )
+    labels = [None] * (2 * n)
+    labels[0::2] = senders
+    labels[1::2] = receivers
     if not vocab.frozen:
-        for label in dict.fromkeys(chain.from_iterable(pairs)):
+        for label in dict.fromkeys(labels):
             vocab.intern(label)
     tokens = np.fromiter(
-        map(vocab._index.get, chain.from_iterable(pairs), repeat(vocab.unseen_slot)),
+        map(vocab._index.get, labels, repeat(vocab.unseen_slot)),
         dtype=np.int64,
-        count=2 * len(pairs),
+        count=2 * n,
     )
     return EdgeCorpus(tokens[0::2], tokens[1::2], vocab)
 
@@ -216,7 +224,10 @@ def _split_by_count(corpus: EdgeCorpus, n_calib: int, seed):
 
 
 def read_edge_records(path):
-    """Read a `src,dst[,label]` CSV into raw string pairs plus optional labels.
+    """Read a `src,dst[,label]` CSV into (senders, receivers, labels).
+
+    senders and receivers are the raw label columns, lists of str with one
+    entry per row; labels is a bool array, or None for a `src,dst` file.
 
     The header row is required. Labels must be 0 or 1. Rows with missing or
     empty fields, and any NUL character, are rejected with the offending
@@ -239,9 +250,9 @@ def read_edge_records(path):
 
 
 def _bulk_records(text):
-    """(pairs, labels) of a file that needs none of csv.reader's quoting or
-    stripping, or None when it might: the row loop then reads it."""
-    if "\r" in text:  # csv.writer, and so `synth`, ends rows with CRLF
+    """(senders, receivers, labels) of a file that needs none of csv.reader's
+    quoting or stripping, or None when it might: the row loop then reads it."""
+    if "\r" in text:  # `synth` and csv.writer end rows with CRLF
         if text.count("\r") != text.count("\r\n"):
             return None
         text = text.replace("\r\n", "\n")
@@ -271,19 +282,17 @@ def _bulk_records(text):
     if "" in fields:
         return None
     if width == 2:
-        rows = iter(fields)
-        return list(zip(rows, rows)), None
+        return fields[0::2], fields[1::2], None
     flags = fields[2::3]
     if not set(flags) <= {"0", "1"}:
         return None
     labels = np.fromiter(map("1".__eq__, flags), dtype=bool, count=len(flags))
-    return list(zip(fields[0::3], fields[1::3])), labels
+    return fields[0::3], fields[1::3], labels
 
 
 def _csv_records(path, text):
-    """(pairs, labels) of any file, read row by row through csv.reader."""
-    pairs: list[tuple[str, str]] = []
-    labels: list[bool] = []
+    """(senders, receivers, labels) of any file, read row by row by csv.reader."""
+    senders, receivers, labels = [], [], []
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
@@ -313,14 +322,15 @@ def _csv_records(path, text):
                         f"{path}:{lineno}: label must be 0 or 1, got {row[2]!r}"
                     )
                 labels.append(row[2] == "1")
-            pairs.append((row[0], row[1]))
+            senders.append(row[0])
+            receivers.append(row[1])
     except csv.Error as err:
         raise EdgeCsvError(f"{path}:{reader.line_num}: {err}") from err
-    return pairs, (np.array(labels, dtype=bool) if labeled else None)
+    return senders, receivers, (np.array(labels, dtype=bool) if labeled else None)
 
 
-def quote_labels(pairs) -> list[tuple[str, str]]:
-    """(src, dst) label pairs as CSV fields.
+def quote_labels(labels) -> list[str]:
+    """A column of node labels as CSV fields.
 
     A label holding a comma, a quote, a carriage return or a line feed is
     quoted as csv.writer's minimal quoting does; every other label keeps
@@ -328,24 +338,36 @@ def quote_labels(pairs) -> list[tuple[str, str]]:
     """
     quoted = {
         label: '"' + label.replace('"', '""') + '"'
-        for label in set(chain.from_iterable(pairs))
+        for label in set(labels)
         if _NEEDS_QUOTES.search(label)
     }
     if not quoted:
-        return pairs
-    return [(quoted.get(src, src), quoted.get(dst, dst)) for src, dst in pairs]
+        return labels
+    return [quoted.get(label, label) for label in labels]
 
 
-def write_edge_csv(path, pairs, labels=None) -> None:
-    """Write (src, dst) label pairs as a `src,dst[,label]` CSV."""
+def write_rows(path, header: str, row_format: str, *columns) -> None:
+    """Write `header`, then `row_format % row` for each row of the columns.
+
+    header and row_format carry their own line ends. "%.17g" gives the
+    bytes of format_float: %-formatting and format(x, ".17g") call the same
+    float formatter. Columns of unequal length raise ValueError once the
+    shortest one ends, after its rows are written.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if labels is None:
-            writer.writerow(_HEADER_PLAIN)
-            writer.writerows(pairs)
-        else:
-            if len(labels) != len(pairs):
-                raise ValueError("labels and pairs must have equal length")
-            writer.writerow(_HEADER_LABELED)
-            for (src, dst), flag in zip(pairs, labels):
-                writer.writerow([src, dst, int(bool(flag))])
+        fh.write(header)
+        fh.writelines(row_format % row for row in zip(*columns, strict=True))
+
+
+def write_edge_csv(path, senders, receivers, labels=None) -> None:
+    """Write label columns as a `src,dst[,label]` CSV with CRLF row ends.
+
+    Node labels are quoted as quote_labels quotes them and each flag is
+    written as 1 or 0, which gives the bytes csv.writer writes.
+    """
+    columns = quote_labels(senders), quote_labels(receivers)
+    if labels is None:
+        write_rows(path, "src,dst\r\n", "%s,%s\r\n", *columns)
+    else:
+        flags = np.asarray(labels, dtype=bool).tolist()
+        write_rows(path, "src,dst,label\r\n", "%s,%s,%d\r\n", *columns, flags)

@@ -311,7 +311,8 @@ def write_score_csv(path, pairs, column, scores):
     call and one write per row, LF row ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"src,dst,{column}\n")
-        for (src, dst), value in zip(quote_labels(pairs), scores):
+        for (src, dst), value in zip(pairs, scores):
+            src, dst = quote_labels([src, dst])
             fh.write(f"{src},{dst},{format_float(value)}\n")
 
 
@@ -320,7 +321,41 @@ def write_verdict_csv(path, pairs, verdicts):
     call per value and one write per row, LF row ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("src,dst,alpha,p_value,anomalous\n")
-        rows = zip(quote_labels(pairs), verdicts.scores.tolist(),
+        rows = zip(pairs, verdicts.scores.tolist(),
                    verdicts.p_values.tolist(), verdicts.flagged.tolist())
         for (src, dst), score, p_value, flag in rows:
+            src, dst = quote_labels([src, dst])
             fh.write(f"{src},{dst},{format_float(score)},{format_float(p_value)},{int(flag)}\n")
+
+
+def write_edge_csv(path, pairs, labels=None):
+    """The edge writer before it formatted whole rows: csv.writer's CRLF
+    rows of (src, dst) label pairs, each flag written as int(bool(flag))."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if labels is None:
+            writer.writerow(_HEADER_PLAIN)
+            writer.writerows(pairs)
+        else:
+            if len(labels) != len(pairs):
+                raise ValueError("labels and pairs must have equal length")
+            writer.writerow(_HEADER_LABELED)
+            for (src, dst), flag in zip(pairs, labels):
+                writer.writerow([src, dst, int(bool(flag))])
+
+
+def write_fpr_csv(path, points):
+    """The fpr writer before it formatted whole rows: csv.writer's CRLF
+    rows, one format_float call per float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epsilon", "empirical_fpr", "stderr", "n_test"])
+        for point in points:
+            writer.writerow(
+                [
+                    format_float(point.epsilon),
+                    format_float(point.fpr),
+                    format_float(point.stderr),
+                    point.n_test,
+                ]
+            )

@@ -619,7 +619,7 @@ class TestFit:
         assert not vocab.frozen
         assert model.vocab.frozen
         assert model.vocab.labels == vocab.labels
-        assert corpus_from_pairs([("n0", "late")], vocab).receivers[0] == 10
+        assert corpus_from_pairs(["n0"], ["late"], vocab).receivers[0] == 10
         assert model.num_nodes == 10
         assert model.vocab.num_nodes == 10
 

@@ -13,12 +13,13 @@ from edgeanomaly import cli
 from edgeanomaly.adnd import LOG_FLOOR, load_model
 from edgeanomaly.cli import UsageError, load_config_file, main
 from edgeanomaly.conformal import Verdicts
-from edgeanomaly.graph_core import write_edge_csv
+from edgeanomaly.graph_core import quote_labels, write_edge_csv, write_rows
 
 import oracles
 
 
-FAST = ["--kh", "8", "--ka", "4", "--kb", "4", "--max-sweeps", "60"]
+SHAPE = ["--kh", "8", "--ka", "4", "--kb", "4"]
+FAST = SHAPE + ["--max-sweeps", "60"]
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +31,11 @@ def pipeline(tmp_path_factory):
     test = str(root / "test.csv")
     model = str(root / "model.adnd")
     assert main(["synth", "--nodes", "10", "--edges", "100", "--seed", "3",
-                 "--out", train] + FAST) == 0
+                 "--out", train] + SHAPE) == 0
     assert main(["synth", "--nodes", "10", "--edges", "60", "--seed", "4",
-                 "--out", calib] + FAST) == 0
+                 "--out", calib] + SHAPE) == 0
     assert main(["synth", "--nodes", "10", "--edges", "40", "--anomalous", "20",
-                 "--seed", "5", "--out", test] + FAST) == 0
+                 "--seed", "5", "--out", test] + SHAPE) == 0
     assert main(["fit", "--train", train, "--model", model, "--seed", "0"] + FAST) == 0
     return {"root": root, "train": train, "calib": calib, "test": test, "model": model}
 
@@ -194,8 +195,8 @@ class TestQuotedLabels:
         p = {name: str(root / name) for name in (
             "train.csv", "test.csv", "model.adnd", "alphas.csv", "verdicts.csv",
             "baseline.csv")}
-        write_edge_csv(p["train.csv"], train)
-        write_edge_csv(p["test.csv"], test, flags)
+        write_edge_csv(p["train.csv"], *zip(*train))
+        write_edge_csv(p["test.csv"], *zip(*test), flags)
         assert main(["fit", "--train", p["train.csv"], "--model", p["model.adnd"]]
                     + FAST) == 0
         assert main(["score", "--model", p["model.adnd"], "--edges", p["test.csv"],
@@ -235,8 +236,8 @@ class TestQuotedLabels:
 
 
 class TestRowWriters:
-    """The score and detect writers give the bytes of the per-value writers
-    in tests/oracles.py."""
+    """The score and detect rows, written through write_rows, give the bytes
+    of the per-value writers in tests/oracles.py."""
 
     LABELS = ["x,y", 'q"t', "line\nbreak", "cr\rhere", "a b", "plain", "\u00e9"]
     # zero, the least subnormal, a 17-digit value, the LOG_FLOOR clamp, p = 1
@@ -250,7 +251,9 @@ class TestRowWriters:
     @pytest.mark.parametrize("column", ["alpha", "rhss_score"])
     def test_score_csv_bytes_equal_the_oracle(self, tmp_path, column):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        cli._write_score_csv(got, self._pairs(), column, self.VALUES)
+        senders, receivers = zip(*self._pairs())
+        write_rows(got, f"src,dst,{column}\n", cli._SCORE_ROW,
+                   quote_labels(senders), quote_labels(receivers), self.VALUES)
         oracles.write_score_csv(want, self._pairs(), column, self.VALUES)
         assert got.read_bytes() == want.read_bytes()
         lines = got.read_bytes().decode().split("\n")
@@ -261,7 +264,10 @@ class TestRowWriters:
         p_values = [1.0, 1.0 / 3.0, 5e-324, 0.0, 0.05, 1.0, 0.5]
         verdicts = Verdicts(self.VALUES, p_values, [0.5] * len(p_values), epsilon=0.05)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        cli._write_verdict_csv(got, self._pairs(), verdicts)
+        senders, receivers = zip(*self._pairs())
+        write_rows(got, "src,dst,alpha,p_value,anomalous\n", cli._VERDICT_ROW,
+                   quote_labels(senders), quote_labels(receivers), verdicts.scores.tolist(),
+                   verdicts.p_values.tolist(), verdicts.flagged.tolist())
         oracles.write_verdict_csv(want, self._pairs(), verdicts)
         assert got.read_bytes() == want.read_bytes()
         text = got.read_bytes().decode()
@@ -327,6 +333,29 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x.csv"), "--bogus"])
         assert rc == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("score", "--config", "absent.cfg"), ("score", "--seed", "1"),
+        ("synth", "--max-sweeps", "10"), ("synth", "--rel-tol", "1e-3"),
+    ])
+    def test_flag_the_command_never_reads_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                         command, flag, value):
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "score": ["score", "--model", pipeline["model"], "--edges", pipeline["test"],
+                      "--out", out],
+            "synth": ["synth", "--nodes", "5", "--edges", "5", "--out", out],
+        }[command]
+        assert main(argv + [flag, value]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_fpr_sim_epsilon_abbreviates_epsilons(self, tmp_path):
+        out = tmp_path / "fpr.csv"
+        assert main(["fpr-sim", "--nodes", "8", "--n-train", "30", "--n-calib", "30",
+                     "--n-test", "40", "--epsilon", "0.1", "--seed", "9",
+                     "--out", str(out)] + FAST) == 0
+        rows = read_rows(out)
+        assert [float(r["epsilon"]) for r in rows] == [0.1]
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["fit", "--train", "somewhere.csv"]) == 1

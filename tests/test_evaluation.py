@@ -486,3 +486,17 @@ class TestCsvWriters:
         assert len(rows) == 2
         assert float(rows[1]["empirical_fpr"]) == 1.0 / 7.0
         assert int(rows[0]["n_test"]) == 2000
+
+    @pytest.mark.parametrize("points", [
+        [FprPoint(epsilon=0.0, fpr=-0.0, stderr=5e-324, n_test=0),
+         FprPoint(epsilon=1.0 / 3.0, fpr=745.0, stderr=1.0, n_test=2000)],
+        [FprPoint(epsilon=np.float64(0.1), fpr=np.float64(1.0 / 3.0),
+                  stderr=np.float64(-0.0), n_test=40)],
+        [],
+    ], ids=["floats", "numpy-floats", "header-only"])
+    def test_fpr_bytes_equal_the_csv_writer_oracle(self, tmp_path, points):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_fpr_csv(got, points)
+        oracles.write_fpr_csv(want, points)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.read_bytes().startswith(b"epsilon,empirical_fpr,stderr,n_test\r\n")

@@ -20,6 +20,7 @@ from edgeanomaly.graph_core import (
     read_edge_records,
     split_train_calib,
     write_edge_csv,
+    write_rows,
 )
 
 
@@ -177,10 +178,9 @@ class TestSplitTrainCalib:
 class TestEdgeCsv:
     def test_round_trip_plain(self, tmp_path):
         path = tmp_path / "edges.csv"
-        pairs = [("a", "b"), ("b", "c"), ("a", "b")]
-        write_edge_csv(path, pairs)
-        records, labels = read_edge_records(path)
-        corpus = corpus_from_pairs(records)
+        write_edge_csv(path, ["a", "b", "a"], ["b", "c", "b"])
+        senders, receivers, labels = read_edge_records(path)
+        corpus = corpus_from_pairs(senders, receivers)
         assert labels is None
         assert corpus.n == 3
         assert corpus.vocab.labels == ("a", "b", "c")
@@ -188,20 +188,19 @@ class TestEdgeCsv:
 
     def test_round_trip_labeled(self, tmp_path):
         path = tmp_path / "edges.csv"
-        pairs = [("u", "v")] * 307
         labels = [True] * 140 + [False] * 167
-        write_edge_csv(path, pairs, labels)
-        _, parsed = read_edge_records(path)
+        write_edge_csv(path, ["u"] * 307, ["v"] * 307, labels)
+        _, _, parsed = read_edge_records(path)
         assert parsed is not None
         assert int(parsed.sum()) == 140
         assert parsed.size == 307
 
     def test_resolves_against_frozen_vocab(self, tmp_path):
         path = tmp_path / "edges.csv"
-        write_edge_csv(path, [("a", "mallory"), ("mallory", "b")])
+        write_edge_csv(path, ["a", "mallory"], ["mallory", "b"])
         vocab = NodeVocab(["a", "b", "c"]).freeze()
-        pairs, _ = read_edge_records(path)
-        corpus = corpus_from_pairs(pairs, vocab)
+        senders, receivers, _ = read_edge_records(path)
+        corpus = corpus_from_pairs(senders, receivers, vocab)
         assert list(corpus) == [Edge(0, 3), Edge(3, 1)]
 
     def test_missing_file_raises(self, tmp_path):
@@ -246,13 +245,13 @@ class TestEdgeCsv:
 
     def test_read_edge_records_keeps_raw_pairs(self, tmp_path):
         path = tmp_path / "edges.csv"
-        write_edge_csv(path, [("x", "y"), ("y", "z")])
-        pairs, labels = read_edge_records(path)
-        assert pairs == [("x", "y"), ("y", "z")]
+        write_edge_csv(path, ["x", "y"], ["y", "z"])
+        senders, receivers, labels = read_edge_records(path)
+        assert (senders, receivers) == (["x", "y"], ["y", "z"])
         assert labels is None
 
     def test_corpus_from_pairs_interns_in_order(self):
-        corpus = corpus_from_pairs([("m", "n"), ("n", "o")])
+        corpus = corpus_from_pairs(["m", "n"], ["n", "o"])
         assert corpus.vocab.labels == ("m", "n", "o")
         assert not corpus.vocab.frozen
 
@@ -279,7 +278,7 @@ class TestCorpusFromPairs:
         lookup = reference.resolve if frozen else reference.intern
         expected = [(lookup(src), lookup(dst)) for src, dst in pairs]
 
-        corpus = corpus_from_pairs(pairs, vocab)
+        corpus = corpus_from_pairs([s for s, _ in pairs], [r for _, r in pairs], vocab)
         assert corpus.vocab is vocab
         assert vocab.labels == reference.labels
         assert corpus.senders.tolist() == [s for s, _ in expected]
@@ -300,15 +299,15 @@ class TestCorpusFromPairs:
             reference.freeze()
         senders, receivers = oracles.intern_pairs(pairs, reference)
 
-        corpus = corpus_from_pairs(pairs, vocab)
+        corpus = corpus_from_pairs([s for s, _ in pairs], [r for _, r in pairs], vocab)
         assert vocab.labels == reference.labels
         assert corpus.senders.tolist() == senders
         assert corpus.receivers.tolist() == receivers
 
-    @pytest.mark.parametrize("pair", [("a",), ("a", "b", "c"), ()])
-    def test_pair_of_other_length_rejected(self, pair):
-        with pytest.raises(ValueError, match="exactly a sender and a receiver"):
-            corpus_from_pairs([("x", "y"), pair, ("y", "x")])
+    @pytest.mark.parametrize("receivers", [["y", "x"], ["y", "x", "z", "w"], []])
+    def test_columns_of_unequal_length_rejected(self, receivers):
+        with pytest.raises(ValueError, match="must have equal length, got 3 and"):
+            corpus_from_pairs(["x", "a", "y"], receivers)
 
 
 # Characters the csv reader or the row loop treats specially (comma, quote,
@@ -355,8 +354,14 @@ def _csv_texts(draw):
 
 
 def _outcome(read, path):
+    """What `read` makes of the file, as (pairs, labels) or the error; the
+    package reader's two label columns are zipped into the oracle's pairs."""
     try:
-        pairs, labels = read(path)
+        if read is oracles.read_edge_records:
+            pairs, labels = read(path)
+        else:
+            senders, receivers, labels = read(path)
+            pairs = list(zip(senders, receivers, strict=True))
     except EdgeCsvError as err:
         return "error", str(err)
     if labels is not None:
@@ -441,12 +446,67 @@ class TestIngestOracle:
 
 class TestQuoteLabels:
     def test_plain_labels_keep_their_text(self):
-        pairs = [("a b", "\u00e9"), ("x", "y\tz")]
-        assert quote_labels(pairs) == pairs
+        labels = ["a b", "\u00e9", "x", "y\tz"]
+        assert quote_labels(labels) == labels
 
     def test_labels_are_quoted_as_csv_writer_quotes_them(self):
-        pairs = [("x,y", "plain"), ('q"t', "a\rb"), ("c\nd", "x,y")]
-        quoted = quote_labels(pairs)
-        assert quoted == [('"x,y"', "plain"), ('"q""t"', '"a\rb"'), ('"c\nd"', '"x,y"')]
-        for (src, dst), (qsrc, qdst) in zip(pairs, quoted):
-            assert next(csv.reader([f"{qsrc},{qdst}"])) == [src, dst]
+        labels = ["x,y", "plain", 'q"t', "a\rb", "c\nd", "x,y"]
+        quoted = quote_labels(labels)
+        assert quoted == ['"x,y"', "plain", '"q""t"', '"a\rb"', '"c\nd"', '"x,y"']
+        for label, field in zip(labels, quoted):
+            assert next(csv.reader([f"{field},x"])) == [label, "x"]
+
+
+class TestRowWriter:
+    """write_edge_csv gives the bytes of the csv.writer form in tests/oracles.py."""
+
+    LABELS = ["x,y", 'q"t', "cr\rhere", "line\nbreak", "a b", "plain", "\u00e9\u0436", "\u2028"]
+
+    def _columns(self, n):
+        k = len(self.LABELS)
+        return ([self.LABELS[i % k] for i in range(n)],
+                [self.LABELS[(3 * i + 1) % k] for i in range(n)])
+
+    def _assert_same_bytes(self, tmp_path, senders, receivers, labels=None):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_edge_csv(got, senders, receivers, labels)
+        oracles.write_edge_csv(want, list(zip(senders, receivers)), labels)
+        assert got.read_bytes() == want.read_bytes()
+        return got.read_bytes()
+
+    def test_plain_bytes_equal_the_csv_writer_oracle(self, tmp_path):
+        text = self._assert_same_bytes(tmp_path, *self._columns(19)).decode()
+        assert text.startswith('src,dst\r\n"x,y","q""t"\r\n"q""t",a b\r\n"cr\rhere",\u2028\r\n')
+
+    @pytest.mark.parametrize("flags", [
+        [True, False, False, True, True, False, True],
+        np.array([True, False, False, True, True, False, True]),
+    ], ids=["bool", "numpy-bool"])
+    def test_labeled_bytes_equal_the_csv_writer_oracle(self, tmp_path, flags):
+        text = self._assert_same_bytes(tmp_path, *self._columns(7), flags).decode()
+        assert text.startswith('src,dst,label\r\n"x,y","q""t",1\r\n')
+        assert text.endswith(',1\r\n')
+
+    @pytest.mark.parametrize("labels", [None, []], ids=["plain", "labeled"])
+    def test_header_only_bytes_equal_the_csv_writer_oracle(self, tmp_path, labels):
+        self._assert_same_bytes(tmp_path, [], [], labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_INGEST_LABELS, st.text(',"\r\n a\u00e9', min_size=1,
+                                                        max_size=3), st.booleans()),
+                      max_size=12),
+        labeled=st.booleans(),
+    )
+    def test_any_labels_equal_the_csv_writer_oracle(self, scratch_csv, rows, labeled):
+        senders = [src for src, _, _ in rows]
+        receivers = [dst for _, dst, _ in rows]
+        flags = [flag for _, _, flag in rows] if labeled else None
+        self._assert_same_bytes(scratch_csv.parent, senders, receivers, flags)
+
+    @pytest.mark.parametrize("columns", [
+        (["a", "b"], ["c"]), (["a"], ["b"], [1.0, 2.0]), ([], ["b"]),
+    ])
+    def test_columns_of_unequal_length_rejected(self, tmp_path, columns):
+        with pytest.raises(ValueError):
+            write_rows(tmp_path / "rows.csv", "h\n", "%s" * len(columns) + "\n", *columns)
