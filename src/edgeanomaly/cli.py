@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -297,46 +298,16 @@ _SCORE_COLUMNS = ("p_value", "rhss_score", "alpha", "score")
 
 
 def _cmd_eval(args) -> int:
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            if reader.fieldnames is None:
-                raise EdgeCsvError(f"{args.scores}: missing header row")
-            rows, lines = [], []  # each row and the file line it ends on
-            for row in reader:  # DictReader skips blank lines
-                rows.append(row)
-                lines.append(reader.line_num)
-        except csv.Error as err:  # an over-long field, or NUL before Python 3.11
-            raise EdgeCsvError(f"{args.scores}:{reader.reader.line_num}: {err}") from err
-    column = args.score_column
-    if column is None:
-        column = next((c for c in _SCORE_COLUMNS if c in reader.fieldnames), None)
-        if column is None:
-            raise EdgeCsvError(
-                f"{args.scores}: no score column among {_SCORE_COLUMNS}; "
-                "use --score-column"
-            )
-    elif column not in reader.fieldnames:
-        raise EdgeCsvError(f"{args.scores}: no column named {column!r}")
-    scores = np.empty(len(rows))
-    for i, (row, line) in enumerate(zip(rows, lines)):
-        try:
-            scores[i] = float(row[column])
-        except (TypeError, ValueError) as err:
-            raise EdgeCsvError(
-                f"{args.scores}:{line}: bad value in column {column!r}: {err}"
-            ) from err
+    scores, labels = _read_score_file(args.scores, args.score_column)
     if args.invert:
         scores = -scores
 
-    if "label" in reader.fieldnames:
-        labels = _parse_label_column(args.scores, rows, lines)
-    elif args.labels:
+    if labels is None:
+        if not args.labels:
+            raise UsageError("eval needs labels: a label column in --scores or --labels")
         _, _, labels = read_edge_records(args.labels)
         if labels is None:
             raise EdgeCsvError(f"{args.labels}: has no label column")
-    else:
-        raise UsageError("eval needs labels: a label column in --scores or --labels")
     if len(labels) != len(scores):
         raise EdgeCsvError(
             f"label count {len(labels)} does not match score count {len(scores)}"
@@ -366,14 +337,63 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_label_column(path, rows, lines) -> np.ndarray:
+def _read_score_file(path, column=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The score column of a CSV file, and its label column if it has one.
+
+    With `column` None, the first of _SCORE_COLUMNS in the header is read.
+    Blank rows are skipped, and a name that repeats in the header reads its
+    last column. Every score must be finite; each error names the file line
+    of its row. All scores are checked before any label.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EdgeCsvError(f"{path}: missing header row")
+            rows, lines = [], []  # each nonblank row and the file line it ends on
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except csv.Error as err:  # an over-long field, or NUL before Python 3.11
+            raise EdgeCsvError(f"{path}:{reader.line_num}: {err}") from err
+    index = {name: i for i, name in enumerate(header)}  # a repeat keeps its last
+    if column is None:
+        column = next((c for c in _SCORE_COLUMNS if c in index), None)
+        if column is None:
+            raise EdgeCsvError(
+                f"{path}: no score column among {_SCORE_COLUMNS}; use --score-column"
+            )
+    elif column not in index:
+        raise EdgeCsvError(f"{path}: no column named {column!r}")
+    at = index[column]
+    scores = np.empty(len(rows))
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        if at >= len(row):
+            raise EdgeCsvError(
+                f"{path}:{line}: missing field {column!r}: "
+                f"the row has {len(row)} of the header's {len(header)} fields"
+            )
+        try:
+            value = float(row[at])
+        except ValueError as err:
+            raise EdgeCsvError(
+                f"{path}:{line}: bad value in column {column!r}: {err}"
+            ) from err
+        if not math.isfinite(value):
+            raise EdgeCsvError(f"{path}:{line}: non-finite value in column {column!r}")
+        scores[i] = value
+    if "label" not in index:
+        return scores, None
+    at = index["label"]
     labels = []
     for row, line in zip(rows, lines):
-        value = (row.get("label") or "").strip()
+        value = row[at].strip() if at < len(row) else ""
         if value not in ("0", "1"):
             raise EdgeCsvError(f"{path}:{line}: label must be 0 or 1, got {value!r}")
         labels.append(value == "1")
-    return np.array(labels, dtype=bool)
+    return scores, np.array(labels, dtype=bool)
 
 
 def _cmd_synth(args) -> int:

@@ -8,14 +8,13 @@ candidate edge, each in [0, 1] with lower meaning less plausible:
 - homophily: Jaccard overlap between the sender's out-neighborhood and the
   receiver's in-neighborhood
 
-The combined RHSS score is their unweighted mean. History bookkeeping is
-order independent, so any permutation of the same edge multiset scores
-candidates identically.
+The combined RHSS score is their unweighted mean. Every component reads the
+edge's direction: (u, v) and (v, u) score differently. The history is built
+once from a corpus's arrays and holds only counts of its edge multiset, so
+any permutation of the same edges scores candidates identically.
 """
 
 from __future__ import annotations
-
-from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -25,110 +24,64 @@ __all__ = ["StreamHistory"]
 
 
 class StreamHistory:
-    """Running counts over an observed edge multiset."""
-
-    def __init__(self):
-        self.edge_counts: Counter = Counter()
-        self.out_degree: Counter = Counter()
-        self.in_degree: Counter = Counter()
-        self.out_neighbors: defaultdict = defaultdict(set)
-        self.in_neighbors: defaultdict = defaultdict(set)
-        self.total_edges = 0
+    """Counts over an observed edge multiset on node slots 0..W, fixed once
+    built by `from_corpus`."""
 
     @classmethod
     def from_corpus(cls, corpus: EdgeCorpus) -> "StreamHistory":
-        """The history of every edge in `corpus`, equal to observing each.
+        """The history of every edge in `corpus`.
 
-        Built from the corpus arrays without per-edge objects: one sorted
-        count of the distinct (sender, receiver) pairs gives the edge counts
-        and the neighbour sets, and one bincount per side the degrees.
+        One sorted count of the pair keys sender * (W + 1) + receiver gives
+        the edge counts; cutting the sorted keys by sender, and again by
+        receiver, gives each slot's out- and in-neighbors; one bincount
+        per side gives the degrees.
         """
-        history = cls()
+        history = cls.__new__(cls)
         senders, receivers = corpus.senders, corpus.receivers
         dim = corpus.vocab.num_nodes + 1  # endpoints lie in 0..W
         keys, counts = np.unique(senders * dim + receivers, return_counts=True)
         heads, tails = np.divmod(keys, dim)
-        pairs = list(zip(heads.tolist(), tails.tolist()))
-        history.edge_counts.update(dict(zip(pairs, counts.tolist())))
-        for degree, side in ((history.out_degree, senders), (history.in_degree, receivers)):
-            per_node = np.bincount(side, minlength=dim)
-            nodes = np.flatnonzero(per_node)
-            degree.update(dict(zip(nodes.tolist(), per_node[nodes].tolist())))
-        for sender, receiver in pairs:
-            history.out_neighbors[sender].add(receiver)
-            history.in_neighbors[receiver].add(sender)
+        by_tail = np.argsort(tails, kind="stable")
+        history._dim = dim
+        history._pair_counts = dict(zip(keys.tolist(), counts.tolist()))
+        history._out_degree = np.bincount(senders, minlength=dim).tolist()
+        history._in_degree = np.bincount(receivers, minlength=dim).tolist()
+        history._out_neighbors = _groups(heads, tails, dim)
+        history._in_neighbors = _groups(tails[by_tail], heads[by_tail], dim)
         history.total_edges = corpus.n
         return history
 
-    def observe(self, edge: Edge) -> "StreamHistory":
-        """Fold one edge into every count; returns self for chaining."""
-        pair = (edge.sender, edge.receiver)
-        self.edge_counts[pair] += 1
-        self.out_degree[edge.sender] += 1
-        self.in_degree[edge.receiver] += 1
-        self.out_neighbors[edge.sender].add(edge.receiver)
-        self.in_neighbors[edge.receiver].add(edge.sender)
-        self.total_edges += 1
-        return self
-
-    def validate(self) -> None:
-        """Cross-check the redundant state; raise on any mismatch.
-
-        The edge counts must sum to total_edges, each degree must be its
-        node's sum of edge counts, and each neighbour set must hold the
-        nodes its edge counts pair it with.
-        """
-        if sum(self.edge_counts.values()) != self.total_edges:
-            raise ValueError("edge counts do not sum to total_edges")
-        out_degree, in_degree = Counter(), Counter()
-        out_neighbors, in_neighbors = defaultdict(set), defaultdict(set)
-        for (sender, receiver), count in self.edge_counts.items():
-            out_degree[sender] += count
-            in_degree[receiver] += count
-            out_neighbors[sender].add(receiver)
-            in_neighbors[receiver].add(sender)
-        for name, kept, derived in (
-            ("out degrees", self.out_degree, out_degree),
-            ("in degrees", self.in_degree, in_degree),
-            ("out neighbors", self.out_neighbors, out_neighbors),
-            ("in neighbors", self.in_neighbors, in_neighbors),
-        ):
-            if dict(kept) != dict(derived):
-                raise ValueError(f"{name} do not match the edge counts")
-
-    def sample_score(self, edge: Edge) -> float:
-        """Add-one smoothed frequency of the exact (sender, receiver) pair.
-
-        An empty history scores every edge 1; an unseen pair among m edges
-        scores 1 / (m + 1).
-        """
-        count = self.edge_counts[(edge.sender, edge.receiver)]
-        return (count + 1.0) / (self.total_edges + 1.0)
-
-    def preferential_attachment_score(self, edge: Edge) -> float:
-        """Product of the endpoints' degree fractions; 0 on an empty history."""
-        if self.total_edges == 0:
-            return 0.0
-        return (
-            self.out_degree[edge.sender] * self.in_degree[edge.receiver]
-        ) / float(self.total_edges * self.total_edges)
-
-    def homophily_score(self, edge: Edge) -> float:
-        """Jaccard overlap of sender out-neighbors and receiver in-neighbors.
-
-        Defined as 0 when both neighborhoods are empty.
-        """
-        out_nb = self.out_neighbors.get(edge.sender, set())
-        in_nb = self.in_neighbors.get(edge.receiver, set())
-        union = len(out_nb | in_nb)
-        if union == 0:
-            return 0.0
-        return len(out_nb & in_nb) / union
-
     def rhss_score(self, edge: Edge) -> float:
-        """Unweighted mean of the three component scores."""
-        return (
-            self.sample_score(edge)
-            + self.preferential_attachment_score(edge)
-            + self.homophily_score(edge)
-        ) / 3.0
+        """Unweighted mean of the sample, preferential attachment and
+        homophily scores of `edge`.
+
+        An empty history scores every edge (1 + 0 + 0) / 3. Homophily is 0
+        when both neighborhoods are empty. An endpoint outside the node
+        slots 0..W raises ValueError.
+        """
+        sender, receiver = edge.sender, edge.receiver
+        if not (0 <= sender < self._dim and 0 <= receiver < self._dim):
+            raise ValueError(
+                f"edge ({sender}, {receiver}) lies outside node slots 0..{self._dim - 1}"
+            )
+        m = self.total_edges
+        count = self._pair_counts.get(sender * self._dim + receiver, 0)
+        sample = (count + 1.0) / (m + 1.0)
+        attach = (
+            self._out_degree[sender] * self._in_degree[receiver] / float(m * m)
+            if m else 0.0
+        )
+        out_nb = self._out_neighbors[sender]
+        in_nb = self._in_neighbors[receiver]
+        shared = len(out_nb & in_nb)
+        union = len(out_nb) + len(in_nb) - shared
+        homophily = shared / union if union else 0.0
+        return (sample + attach + homophily) / 3.0
+
+
+def _groups(owners, members, dim) -> list[frozenset]:
+    """For each slot 0..dim-1, the members of the runs of `owners` (sorted)
+    that equal it, as a frozenset."""
+    ends = np.cumsum(np.bincount(owners, minlength=dim)).tolist()
+    members = members.tolist()
+    return [frozenset(members[start:end]) for start, end in zip([0] + ends, ends)]

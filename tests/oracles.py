@@ -7,6 +7,7 @@ order, so a reader can see what the fast kernel must reproduce.
 
 import csv
 import json
+from collections import Counter, defaultdict
 
 import numpy as np
 from scipy.special import digamma, xlogy
@@ -227,6 +228,55 @@ def read_edge_records(path):
     return pairs, (np.array(labels, dtype=bool) if labeled else None)
 
 
+def read_score_file(path, column=None):
+    """The eval score reader before it read rows with csv.reader:
+    csv.DictReader, one dict per row.
+
+    Returns (scores, labels), labels None without a label column, or raises
+    EdgeCsvError naming the file line of the first bad row; every score is
+    parsed before any label. It does not check that scores are finite, and
+    a short row fails float(None). cli._read_score_file must return the
+    same arrays, and raise at the same line, for every finite score file.
+    """
+    score_columns = ("p_value", "rhss_score", "alpha", "score")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames is None:
+                raise EdgeCsvError(f"{path}: missing header row")
+            rows, lines = [], []  # each row and the file line it ends on
+            for row in reader:  # DictReader skips blank lines
+                rows.append(row)
+                lines.append(reader.line_num)
+        except csv.Error as err:
+            raise EdgeCsvError(f"{path}:{reader.reader.line_num}: {err}") from err
+    if column is None:
+        column = next((c for c in score_columns if c in reader.fieldnames), None)
+        if column is None:
+            raise EdgeCsvError(
+                f"{path}: no score column among {score_columns}; use --score-column"
+            )
+    elif column not in reader.fieldnames:
+        raise EdgeCsvError(f"{path}: no column named {column!r}")
+    scores = np.empty(len(rows))
+    for i, (row, line) in enumerate(zip(rows, lines)):
+        try:
+            scores[i] = float(row[column])
+        except (TypeError, ValueError) as err:
+            raise EdgeCsvError(
+                f"{path}:{line}: bad value in column {column!r}: {err}"
+            ) from err
+    if "label" not in reader.fieldnames:
+        return scores, None
+    labels = []
+    for row, line in zip(rows, lines):
+        value = (row.get("label") or "").strip()
+        if value not in ("0", "1"):
+            raise EdgeCsvError(f"{path}:{line}: label must be 0 or 1, got {value!r}")
+        labels.append(value == "1")
+    return scores, np.array(labels, dtype=bool)
+
+
 def intern_pairs(pairs, vocab):
     """(senders, receivers) of (src, dst) label pairs, one label at a time.
 
@@ -242,6 +292,97 @@ def intern_pairs(pairs, vocab):
         senders.append(lookup(src))
         receivers.append(lookup(dst))
     return senders, receivers
+
+
+class StreamHistory:
+    """Running counts over an observed edge multiset, one edge at a time.
+
+    rhss.StreamHistory before it was built once from corpus arrays: every
+    count folded in by `observe`, with the three component scores as
+    methods. rhss.StreamHistory.from_corpus(corpus).rhss_score(edge) must
+    equal fold_history(StreamHistory(), ...).rhss_score(edge) bit for bit.
+    """
+
+    def __init__(self):
+        self.edge_counts: Counter = Counter()
+        self.out_degree: Counter = Counter()
+        self.in_degree: Counter = Counter()
+        self.out_neighbors: defaultdict = defaultdict(set)
+        self.in_neighbors: defaultdict = defaultdict(set)
+        self.total_edges = 0
+
+    def observe(self, edge: Edge) -> "StreamHistory":
+        """Fold one edge into every count; returns self for chaining."""
+        pair = (edge.sender, edge.receiver)
+        self.edge_counts[pair] += 1
+        self.out_degree[edge.sender] += 1
+        self.in_degree[edge.receiver] += 1
+        self.out_neighbors[edge.sender].add(edge.receiver)
+        self.in_neighbors[edge.receiver].add(edge.sender)
+        self.total_edges += 1
+        return self
+
+    def validate(self) -> None:
+        """Cross-check the redundant state; raise on any mismatch.
+
+        The edge counts must sum to total_edges, each degree must be its
+        node's sum of edge counts, and each neighbour set must hold the
+        nodes its edge counts pair it with.
+        """
+        if sum(self.edge_counts.values()) != self.total_edges:
+            raise ValueError("edge counts do not sum to total_edges")
+        out_degree, in_degree = Counter(), Counter()
+        out_neighbors, in_neighbors = defaultdict(set), defaultdict(set)
+        for (sender, receiver), count in self.edge_counts.items():
+            out_degree[sender] += count
+            in_degree[receiver] += count
+            out_neighbors[sender].add(receiver)
+            in_neighbors[receiver].add(sender)
+        for name, kept, derived in (
+            ("out degrees", self.out_degree, out_degree),
+            ("in degrees", self.in_degree, in_degree),
+            ("out neighbors", self.out_neighbors, out_neighbors),
+            ("in neighbors", self.in_neighbors, in_neighbors),
+        ):
+            if dict(kept) != dict(derived):
+                raise ValueError(f"{name} do not match the edge counts")
+
+    def sample_score(self, edge: Edge) -> float:
+        """Add-one smoothed frequency of the exact (sender, receiver) pair.
+
+        An empty history scores every edge 1; an unseen pair among m edges
+        scores 1 / (m + 1).
+        """
+        count = self.edge_counts[(edge.sender, edge.receiver)]
+        return (count + 1.0) / (self.total_edges + 1.0)
+
+    def preferential_attachment_score(self, edge: Edge) -> float:
+        """Product of the endpoints' degree fractions; 0 on an empty history."""
+        if self.total_edges == 0:
+            return 0.0
+        return (
+            self.out_degree[edge.sender] * self.in_degree[edge.receiver]
+        ) / float(self.total_edges * self.total_edges)
+
+    def homophily_score(self, edge: Edge) -> float:
+        """Jaccard overlap of sender out-neighbors and receiver in-neighbors.
+
+        Defined as 0 when both neighborhoods are empty.
+        """
+        out_nb = self.out_neighbors.get(edge.sender, set())
+        in_nb = self.in_neighbors.get(edge.receiver, set())
+        union = len(out_nb | in_nb)
+        if union == 0:
+            return 0.0
+        return len(out_nb & in_nb) / union
+
+    def rhss_score(self, edge: Edge) -> float:
+        """Unweighted mean of the three component scores."""
+        return (
+            self.sample_score(edge)
+            + self.preferential_attachment_score(edge)
+            + self.homophily_score(edge)
+        ) / 3.0
 
 
 def fold_history(history, senders, receivers):

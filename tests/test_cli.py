@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeanomaly import cli
 from edgeanomaly.adnd import LOG_FLOOR, load_model
 from edgeanomaly.cli import UsageError, load_config_file, main
 from edgeanomaly.conformal import Verdicts
-from edgeanomaly.graph_core import quote_labels, write_edge_csv, write_rows
+from edgeanomaly.graph_core import EdgeCsvError, quote_labels, write_edge_csv, write_rows
 
 import oracles
 
@@ -415,6 +417,21 @@ class TestExitCodes:
         assert rc == 2
         assert "bad.csv:4: bad value in column 'score'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_eval_non_finite_score_reports_its_file_line(self, tmp_path, capsys, value):
+        scores = tmp_path / "bad.csv"
+        scores.write_text(f"src,dst,alpha,label\na,b,0.5,1\n\nc,d,{value},0\n")
+        rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")])
+        assert rc == 2
+        assert "bad.csv:4: non-finite value in column 'alpha'" in capsys.readouterr().err
+
+    def test_eval_short_row_names_the_missing_field(self, tmp_path, capsys):
+        scores = tmp_path / "bad.csv"
+        scores.write_text("src,dst,alpha,label\na,b,0.5,1\nc,d\n")
+        rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")])
+        assert rc == 2
+        assert "bad.csv:3: missing field 'alpha'" in capsys.readouterr().err
+
     def test_bad_model_magic_is_data_error(self, pipeline, tmp_path, capsys):
         fake = tmp_path / "fake.adnd"
         fake.write_text("BOGUS\n{}\n")
@@ -454,6 +471,80 @@ class TestExitCodes:
         assert main(["detect", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--epsilon" in out and "--orientation" in out
+
+
+# Header names, of which four are score columns; a name may repeat.
+_SCORE_HEADER_NAMES = ["src", "dst", "alpha", "score", "p_value", "rhss_score", "label", "x"]
+# Fields a column rarely holds: text float() refuses or reads with
+# surrounding space or underscores, fields that need quoting, and a bad and
+# a padded label.
+_ODD_FIELDS = ["", "high", " 0.5 ", "-0.0", "1_0", "a,b", 'say "hi"', "x\ny", "x\r\ny",
+               "2", " 1"]
+
+
+def _csv_field(field, quote):
+    if quote or any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
+
+
+@st.composite
+def _score_files(draw):
+    """(text, column) of score files with blank lines, quoted fields, LF,
+    CRLF or CR line ends, short and long rows, repeated header names and
+    often a label column; column is None, a header name or absent."""
+    header = draw(st.lists(st.sampled_from(_SCORE_HEADER_NAMES), min_size=1, max_size=5))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        width = draw(st.sampled_from(
+            [len(header)] * 8 + [0, len(header) - 1, len(header) + 1]))
+        row = []
+        for name in (header + ["x"])[:width]:
+            if draw(st.integers(0, 19)) == 0:
+                row.append(draw(st.sampled_from(_ODD_FIELDS)))
+            elif name == "label":
+                row.append(draw(st.sampled_from(["0", "1"])))
+            else:
+                row.append(repr(draw(st.floats(allow_nan=False, allow_infinity=False))))
+        rows.append(row)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(_csv_field(f, draw(st.integers(0, 4)) == 0) for f in row)
+             for row in rows]
+    text = ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return text, draw(st.sampled_from([None, None, "absent"] + header))
+
+
+def _score_outcome(read, path, column):
+    """(score bits, labels) or ("error", "path:line", message); the error
+    type, and so eval's exit code, is EdgeCsvError either way."""
+    try:
+        scores, labels = read(path, column)
+    except EdgeCsvError as err:
+        where, _, message = str(err).partition(": ")
+        return "error", where, message
+    return [float.hex(s) for s in scores.tolist()], (
+        None if labels is None else labels.tolist())
+
+
+@pytest.fixture(scope="module")
+def scratch_scores(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores") / "scores.csv"
+
+
+class TestScoreFileReader:
+    @settings(max_examples=500, deadline=None)
+    @given(file=_score_files())
+    def test_same_result_or_error_line_as_dict_reader(self, scratch_scores, file):
+        text, column = file
+        scratch_scores.write_text(text, encoding="utf-8", newline="")
+        got = _score_outcome(cli._read_score_file, scratch_scores, column)
+        want = _score_outcome(oracles.read_score_file, scratch_scores, column)
+        if want[0] == "error" and "'NoneType'" in want[2]:
+            # a short row: the message now names the missing field
+            assert got[:2] == want[:2]
+            assert got[2].startswith("missing field ")
+        else:
+            assert got == want
 
 
 class TestReproducibility:

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeanomaly.adnd import HyperParams, TruncationLevels, fit, sample_edges
@@ -262,6 +262,52 @@ class TestFullConformal:
         np.testing.assert_allclose(
             full_conformal_p_values(np.full(3, 4.0), u), u, rtol=1e-15
         )
+
+
+# The least and the greatest draw that conformal_p_values accepts.
+U_LEAST, U_GREATEST = 2.0**-53, 1.0 - 2.0**-53
+
+# Pooled score multisets with heavy ties: few distinct values, many repeats.
+_TIED_POOLS = st.lists(st.sampled_from([-2.5, 0.0, 1.0, 1.0, 7.0]), min_size=2, max_size=40)
+
+
+def assert_tiles_unit_interval(pool, least, greatest):
+    """As u runs over (0, 1), element j's p-value runs from least[j] to
+    greatest[j]. Tied elements must share one interval, of width c / (n + 1)
+    for c ties, and the intervals of the distinct values must tile [0, 1]
+    end to end. Then the p-value of a uniformly chosen element, with a
+    uniform draw, is uniform on [0, 1]: the rank law under exchangeability."""
+    size, tol = len(pool), 1e-12
+    spans = {}
+    for value, lo, hi in zip(pool, least, greatest):
+        assert spans.setdefault(value, (lo, hi)) == (lo, hi)
+    for value, (lo, hi) in spans.items():
+        assert abs((hi - lo) - pool.count(value) / size) < tol
+    ordered = sorted(spans.values())
+    assert abs(ordered[0][0]) < tol
+    assert abs(ordered[-1][1] - 1.0) < tol
+    for (_, end), (start, _) in zip(ordered, ordered[1:]):
+        assert abs(end - start) < tol
+
+
+class TestRankLaw:
+    @settings(max_examples=300, deadline=None)
+    @given(pool=_TIED_POOLS, orientation=st.sampled_from(["power-corrected", "paper"]))
+    def test_leave_one_out_p_values_tile_the_unit_interval(self, pool, orientation):
+        least, greatest = [], []
+        for j, value in enumerate(pool):
+            rest = pool[:j] + pool[j + 1:]
+            least.append(p_value(value, rest, U_LEAST, orientation))
+            greatest.append(p_value(value, rest, U_GREATEST, orientation))
+        assert_tiles_unit_interval(pool, least, greatest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=_TIED_POOLS, orientation=st.sampled_from(["power-corrected", "paper"]))
+    def test_full_conformal_p_values_tile_the_unit_interval(self, pool, orientation):
+        draws = np.ones(len(pool))
+        least = full_conformal_p_values(pool, U_LEAST * draws, orientation)
+        greatest = full_conformal_p_values(pool, U_GREATEST * draws, orientation)
+        assert_tiles_unit_interval(pool, least.tolist(), greatest.tolist())
 
 
 class TestTieBrokenRank:

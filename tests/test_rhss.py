@@ -1,6 +1,13 @@
-"""Baseline score bookkeeping and component arithmetic."""
+"""Baseline score bookkeeping and component arithmetic.
+
+The package builds its history once from a corpus's arrays.
+`oracles.StreamHistory` folds the same edges in one at a time and keeps the
+three component scores as methods; the package's score must equal the
+oracle's bit for bit.
+"""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +20,28 @@ from edgeanomaly.rhss import StreamHistory
 
 
 def history_of(pairs):
-    history = StreamHistory()
-    for u, v in pairs:
-        history.observe(Edge(u, v))
-    return history
+    """The folding reference's history of (sender, receiver) pairs."""
+    return oracles.fold_history(
+        oracles.StreamHistory(), [u for u, _ in pairs], [v for _, v in pairs])
+
+
+def built_from(pairs, num_nodes):
+    """The package's history of pairs over a vocabulary of num_nodes labels."""
+    vocab = NodeVocab([f"n{i}" for i in range(num_nodes)])
+    corpus = EdgeCorpus([u for u, _ in pairs], [v for _, v in pairs], vocab)
+    return StreamHistory.from_corpus(corpus)
+
+
+def assert_scores_equal(history, reference, num_nodes):
+    """Equal bits for every edge over the node slots 0..num_nodes."""
+    for u, v in itertools.product(range(num_nodes + 1), repeat=2):
+        edge = Edge(u, v)
+        assert float.hex(history.rhss_score(edge)) == float.hex(reference.rhss_score(edge))
 
 
 class TestObserve:
+    """The folding reference's bookkeeping, and the package's edge total."""
+
     def test_single_insertion(self):
         history = history_of([(0, 1)])
         assert history.total_edges == 1
@@ -35,7 +57,7 @@ class TestObserve:
 
     def test_bookkeeping_invariants_hold(self):
         rng = np.random.default_rng(2)
-        history = StreamHistory()
+        history = oracles.StreamHistory()
         for _ in range(200):
             history.observe(Edge(int(rng.integers(0, 6)), int(rng.integers(0, 6))))
             history.validate()
@@ -59,32 +81,16 @@ def corpora(draw):
     return EdgeCorpus([u for u, _ in pairs], [v for _, v in pairs], vocab)
 
 
-def _state(history):
-    """Every field of a history as plain dicts, with their types."""
-    return {
-        "edge_counts": (type(history.edge_counts), dict(history.edge_counts)),
-        "out_degree": (type(history.out_degree), dict(history.out_degree)),
-        "in_degree": (type(history.in_degree), dict(history.in_degree)),
-        "out_neighbors": (type(history.out_neighbors), dict(history.out_neighbors)),
-        "in_neighbors": (type(history.in_neighbors), dict(history.in_neighbors)),
-        "total_edges": history.total_edges,
-    }
-
-
 class TestFromCorpus:
     @settings(max_examples=300, deadline=None)
     @given(corpus=corpora())
     def test_equals_observing_each_edge(self, corpus):
         history = StreamHistory.from_corpus(corpus)
-        history.validate()
         reference = oracles.fold_history(
-            StreamHistory(), corpus.senders.tolist(), corpus.receivers.tolist())
-        assert _state(history) == _state(reference)
-        keys = [k for pair in history.edge_counts for k in pair]
-        keys += list(history.out_degree) + list(history.in_neighbors)
-        keys += [v for nodes in history.out_neighbors.values() for v in nodes]
-        assert all(type(k) is int for k in keys)
-        assert all(type(c) is int for c in history.edge_counts.values())
+            oracles.StreamHistory(), corpus.senders.tolist(), corpus.receivers.tolist())
+        reference.validate()
+        assert history.total_edges == reference.total_edges
+        assert_scores_equal(history, reference, corpus.vocab.num_nodes)
 
     def test_named_cases(self):
         vocab = NodeVocab(["a", "b", "c"])
@@ -95,16 +101,21 @@ class TestFromCorpus:
         ):
             corpus = EdgeCorpus(senders, receivers, vocab)
             history = StreamHistory.from_corpus(corpus)
-            history.validate()
-            assert _state(history) == _state(
-                oracles.fold_history(StreamHistory(), senders, receivers))
+            reference = oracles.fold_history(oracles.StreamHistory(), senders, receivers)
+            reference.validate()
+            assert history.total_edges == reference.total_edges
+            assert_scores_equal(history, reference, vocab.num_nodes)
 
-    def test_observe_extends_a_built_history(self):
-        corpus = EdgeCorpus([0, 1, 1], [1, 2, 2], NodeVocab(["a", "b", "c"]))
-        history = StreamHistory.from_corpus(corpus).observe(Edge(2, 0))
-        history.validate()
-        assert _state(history) == _state(
-            oracles.fold_history(StreamHistory(), [0, 1, 1, 2], [1, 2, 2, 0]))
+    # Slot lists are indexed by endpoint, so without the range check a
+    # negative endpoint would read slot W's counts and score as a real edge.
+    @pytest.mark.parametrize("edge", [
+        Edge(4, 0), Edge(0, 4), Edge(9, 9),
+        SimpleNamespace(sender=-1, receiver=0), SimpleNamespace(sender=0, receiver=-1),
+    ])
+    def test_endpoint_outside_the_slots_raises(self, edge):
+        history = built_from([(0, 3), (3, 1), (2, 2)], 3)
+        with pytest.raises(ValueError, match=r"outside node slots 0\.\.3"):
+            history.rhss_score(edge)
 
 
 class TestValidate:
@@ -130,7 +141,7 @@ class TestValidate:
 
 class TestSampleScore:
     def test_empty_history_floor(self):
-        assert StreamHistory().sample_score(Edge(0, 1)) == 1.0
+        assert oracles.StreamHistory().sample_score(Edge(0, 1)) == 1.0
 
     def test_seen_twice_among_nine(self):
         pairs = [(0, 1), (0, 1)] + [(2, 3), (3, 4), (4, 5), (5, 2), (2, 4), (3, 5), (4, 2)]
@@ -146,7 +157,7 @@ class TestSampleScore:
 
 class TestPreferentialAttachment:
     def test_empty_history_is_zero(self):
-        assert StreamHistory().preferential_attachment_score(Edge(0, 1)) == 0.0
+        assert oracles.StreamHistory().preferential_attachment_score(Edge(0, 1)) == 0.0
 
     def test_worked_example(self):
         # out_degree[u]=3, in_degree[v]=2, m=10
@@ -159,7 +170,7 @@ class TestPreferentialAttachment:
 
     def test_never_exceeds_one(self):
         rng = np.random.default_rng(4)
-        history = StreamHistory()
+        history = oracles.StreamHistory()
         for _ in range(60):
             history.observe(Edge(int(rng.integers(0, 3)), int(rng.integers(0, 3))))
         for u, v in itertools.product(range(3), range(3)):
@@ -183,23 +194,24 @@ class TestHomophily:
         assert history.homophily_score(Edge(0, 9)) == 0.5
 
     def test_both_empty_neighborhoods(self):
-        assert StreamHistory().homophily_score(Edge(0, 1)) == 0.0
+        assert oracles.StreamHistory().homophily_score(Edge(0, 1)) == 0.0
 
 
 class TestCombinedScore:
     def test_is_mean_of_components(self):
-        history = history_of([(0, 1), (0, 1), (1, 2), (2, 0), (0, 2)])
+        pairs = [(0, 1), (0, 1), (1, 2), (2, 0), (0, 2)]
+        history, reference = built_from(pairs, 3), history_of(pairs)
         for u, v in itertools.product(range(3), range(3)):
             edge = Edge(u, v)
             expected = (
-                history.sample_score(edge)
-                + history.preferential_attachment_score(edge)
-                + history.homophily_score(edge)
+                reference.sample_score(edge)
+                + reference.preferential_attachment_score(edge)
+                + reference.homophily_score(edge)
             ) / 3.0
             assert history.rhss_score(edge) == expected
 
     def test_empty_history_composition(self):
-        assert StreamHistory().rhss_score(Edge(0, 1)) == (1.0 + 0.0 + 0.0) / 3.0
+        assert built_from([], 2).rhss_score(Edge(0, 1)) == (1.0 + 0.0 + 0.0) / 3.0
 
     def test_mean_arithmetic(self):
         assert (0.3 + 0.06 + 0.5) / 3.0 == pytest.approx(0.28666666666666)
@@ -207,24 +219,23 @@ class TestCombinedScore:
     def test_order_invariance(self):
         rng = np.random.default_rng(6)
         pairs = [(int(rng.integers(0, 5)), int(rng.integers(0, 5))) for _ in range(40)]
-        base = history_of(pairs)
+        base = built_from(pairs, 5)
         for seed in range(3):
             perm = np.random.default_rng(seed).permutation(len(pairs))
-            shuffled = history_of([pairs[i] for i in perm])
+            shuffled = built_from([pairs[i] for i in perm], 5)
             for u, v in itertools.product(range(5), range(5)):
                 assert shuffled.rhss_score(Edge(u, v)) == base.rhss_score(Edge(u, v))
 
     def test_all_scores_bounded(self):
         rng = np.random.default_rng(8)
-        history = StreamHistory()
-        for _ in range(100):
-            history.observe(Edge(int(rng.integers(0, 4)), int(rng.integers(0, 4))))
-        for u, v in itertools.product(range(5), range(5)):
+        pairs = [(int(rng.integers(0, 4)), int(rng.integers(0, 4))) for _ in range(100)]
+        history, reference = built_from(pairs, 4), history_of(pairs)
+        for u, v in itertools.product(range(5), range(5)):  # 4 is the unseen slot
             edge = Edge(u, v)
             for score in (
-                history.sample_score(edge),
-                history.preferential_attachment_score(edge),
-                history.homophily_score(edge),
+                reference.sample_score(edge),
+                reference.preferential_attachment_score(edge),
+                reference.homophily_score(edge),
                 history.rhss_score(edge),
             ):
                 assert 0.0 <= score <= 1.0
@@ -252,7 +263,7 @@ class TestBruteForceOracle:
                 (int(rng.integers(0, n_nodes)), int(rng.integers(0, n_nodes)))
                 for _ in range(n_edges)
             ]
-            history = history_of(pairs)
+            history = built_from(pairs, n_nodes)
             for u, v in itertools.product(range(n_nodes), range(n_nodes)):
                 edge = Edge(u, v)
                 assert history.rhss_score(edge) == pytest.approx(
