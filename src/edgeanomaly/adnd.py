@@ -102,12 +102,12 @@ class TruncationLevels:
             raise ValueError("k_h must be at least max(k_a, k_b)")
 
 
-def stick_weights(stick_fractions, truncate_last: bool = False) -> np.ndarray:
+def stick_weights(stick_fractions) -> np.ndarray:
     """Map stick fractions to mixture weights.
 
     Entry k gets fraction_k times the mass left after the first k-1 breaks.
-    With truncate_last=True the final entry instead absorbs all remaining
-    mass, so the result sums to one.
+    A final fraction of 1.0 gives the last entry all the remaining mass, so
+    the result sums to one.
     """
     fractions = np.asarray(stick_fractions, dtype=float)
     if fractions.ndim != 1 or fractions.size == 0:
@@ -115,10 +115,7 @@ def stick_weights(stick_fractions, truncate_last: bool = False) -> np.ndarray:
     if np.any(fractions < 0.0) or np.any(fractions > 1.0):
         raise ValueError("stick fractions must lie in [0, 1]")
     remaining = np.concatenate(([1.0], np.cumprod(1.0 - fractions[:-1])))
-    weights = fractions * remaining
-    if truncate_last:
-        weights[-1] = remaining[-1]
-    return weights
+    return fractions * remaining
 
 
 def expected_log_sticks(shape_a, shape_b) -> np.ndarray:
@@ -659,8 +656,8 @@ def fit_state(
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:  # NaN fails both comparisons
+        raise ValueError("rel_tol must be positive and finite")
     state = init_state(corpus, hyper, trunc, seed)
     sweep = _Sweep.for_fit(state, corpus, hyper)
     trace: list[float] = []
@@ -692,8 +689,8 @@ def fit(
 
     Topics become their posterior means; topic weights come from posterior
     mean stick fractions with the last weight absorbing the leftover stick.
-    The model keeps a frozen copy of the corpus vocabulary, since scoring
-    must not shift indices; the corpus's own vocabulary is left as it was.
+    The model keeps the corpus's vocabulary itself: a vocabulary never
+    changes, so the model's node slots are the corpus's.
     """
     hyper = hyper if hyper is not None else HyperParams()
     trunc = trunc if trunc is not None else TruncationLevels()
@@ -702,11 +699,11 @@ def fit(
     )
     topic_node = state.lam / state.lam.sum(axis=1, keepdims=True)
     mean_fractions = state.corpus_stick_a / (state.corpus_stick_a + state.corpus_stick_b)
-    topic_weights = stick_weights(np.append(mean_fractions, 1.0), truncate_last=True)
+    topic_weights = stick_weights(np.append(mean_fractions, 1.0))
     return FittedModel(
         topic_node=topic_node,
         topic_weights=topic_weights,
-        vocab=NodeVocab(corpus.vocab.labels).freeze(),
+        vocab=corpus.vocab,
         hyper=hyper,
         trunc=trunc,
         diagnostics=diagnostics,
@@ -813,9 +810,8 @@ def sample_edges(
     from a symmetric Dirichlet restricted to the real nodes, topics drawn
     from that base, truncated stick weights at every level, and atom
     pointers into the shared topics. Edges then sample endpoints through
-    per-side atoms. Node labels are "n0".."n{num_nodes-1}" and the returned
-    vocabulary is frozen. With return_params=True also returns the
-    SamplerParams used.
+    per-side atoms. Node labels are "n0".."n{num_nodes-1}". With
+    return_params=True also returns the SamplerParams used.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be at least 1")
@@ -826,18 +822,17 @@ def sample_edges(
     base_full = rng.dirichlet(np.full(num_nodes + 1, hyper.eta))
     base = base_full[:num_nodes] / base_full[:num_nodes].sum()
     topic_weights = stick_weights(
-        np.append(rng.beta(1.0, hyper.gamma, size=trunc.k_h - 1), 1.0),
-        truncate_last=True,
+        np.append(rng.beta(1.0, hyper.gamma, size=trunc.k_h - 1), 1.0)
     )
     topics = rng.dirichlet(base, size=trunc.k_h)
 
     send_atoms = rng.choice(trunc.k_h, size=trunc.k_a, p=topic_weights)
     recv_atoms = rng.choice(trunc.k_h, size=trunc.k_b, p=topic_weights)
     send_weights = stick_weights(
-        np.append(rng.beta(1.0, hyper.tau, size=trunc.k_a - 1), 1.0), truncate_last=True
+        np.append(rng.beta(1.0, hyper.tau, size=trunc.k_a - 1), 1.0)
     )
     recv_weights = stick_weights(
-        np.append(rng.beta(1.0, hyper.tau, size=trunc.k_b - 1), 1.0), truncate_last=True
+        np.append(rng.beta(1.0, hyper.tau, size=trunc.k_b - 1), 1.0)
     )
 
     send_z = rng.choice(trunc.k_a, size=num_edges, p=send_weights)
@@ -845,7 +840,7 @@ def sample_edges(
     senders = _draw_tokens(rng, topics, send_atoms[send_z])
     receivers = _draw_tokens(rng, topics, recv_atoms[recv_z])
 
-    vocab = NodeVocab(f"n{i}" for i in range(num_nodes)).freeze()
+    vocab = NodeVocab(f"n{i}" for i in range(num_nodes))
     corpus = EdgeCorpus(senders, receivers, vocab)
     if not return_params:
         return corpus
@@ -901,14 +896,11 @@ def _unpack_matrix(packed) -> np.ndarray:
     return np.frombuffer(data, dtype=_PACKED_DTYPE).reshape(shape)
 
 
-def _frozen_vocab(labels) -> NodeVocab:
-    """The frozen vocabulary a model file names; labels must be distinct strings."""
+def _model_vocab(labels) -> NodeVocab:
+    """The vocabulary a model file names; labels must be distinct strings."""
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise ValueError("vocab_labels must be a list of strings")
-    vocab = NodeVocab(labels).freeze()
-    if vocab.num_nodes != len(labels):
-        raise ValueError("vocab_labels holds duplicate labels")
-    return vocab
+    return NodeVocab(labels)
 
 
 def _diagnostics(diag) -> FitDiagnostics:
@@ -974,7 +966,7 @@ def load_model(path) -> FittedModel:
         except json.JSONDecodeError as err:
             raise ModelFormatError(f"{path}: malformed model body: {err}") from err
     try:
-        vocab = _frozen_vocab(payload["vocab_labels"])
+        vocab = _model_vocab(payload["vocab_labels"])
         hyper = HyperParams(**payload["hyper"])
         trunc = TruncationLevels(**payload["trunc"])
         if magic == MODEL_MAGIC:

@@ -71,8 +71,8 @@ class RunConfig:
             )
         if self.max_sweeps < 1:
             raise UsageError("max_sweeps must be at least 1")
-        if self.rel_tol <= 0.0:
-            raise UsageError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:  # NaN fails both comparisons
+            raise UsageError("rel_tol must be positive and finite")
 
     def hyper(self) -> adnd.HyperParams:
         return adnd.HyperParams(eta=self.eta, gamma=self.gamma, tau=self.tau)
@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
     p_eval = commands.add_parser("eval", help="ranking metrics from scored edges")
     p_eval.add_argument("--scores", required=True, help="CSV with a score column")
     p_eval.add_argument("--out-prefix", dest="out_prefix", required=True)
-    p_eval.add_argument("--labels", help="edge CSV supplying labels if --scores has none")
+    p_eval.add_argument("--labels", help="labeled edge CSV, in the row order of --scores")
     p_eval.add_argument("--score-column", dest="score_column")
     p_eval.add_argument(
         "--invert",
@@ -222,8 +222,7 @@ def build_parser() -> _Parser:
 
 def _cmd_fit(args) -> int:
     cfg = _resolve_config(args)
-    corpus, _ = _read_corpus(args.train)
-    corpus.vocab.freeze()
+    corpus = _read_corpus(args.train)
     model = adnd.fit(
         corpus,
         cfg.hyper(),
@@ -263,7 +262,7 @@ def _cmd_score(args) -> int:
 def _cmd_detect(args) -> int:
     cfg = _resolve_config(args)
     model = adnd.load_model(args.model)
-    calib_corpus, _ = _read_corpus(args.calib, model.vocab)
+    calib_corpus = _read_corpus(args.calib, model.vocab)
     senders, receivers, _ = read_edge_records(args.test)
     test_corpus = corpus_from_pairs(senders, receivers, model.vocab)
     calib = conformal.calibration_scores(model, calib_corpus)
@@ -282,8 +281,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_rhss(args) -> int:
-    train_corpus, _ = _read_corpus(args.train)
-    train_corpus.vocab.freeze()
+    train_corpus = _read_corpus(args.train)
     history = rhss.StreamHistory.from_corpus(train_corpus)
     senders, receivers, _ = read_edge_records(args.test)
     test_corpus = corpus_from_pairs(senders, receivers, train_corpus.vocab)
@@ -298,16 +296,11 @@ _SCORE_COLUMNS = ("p_value", "rhss_score", "alpha", "score")
 
 
 def _cmd_eval(args) -> int:
-    scores, labels = _read_score_file(args.scores, args.score_column)
+    scores, labels = _read_score_file(args.scores, args.score_column, args.labels)
     if args.invert:
         scores = -scores
-
     if labels is None:
-        if not args.labels:
-            raise UsageError("eval needs labels: a label column in --scores or --labels")
-        _, _, labels = read_edge_records(args.labels)
-        if labels is None:
-            raise EdgeCsvError(f"{args.labels}: has no label column")
+        raise UsageError("eval needs labels: a label column in --scores or --labels")
     if len(labels) != len(scores):
         raise EdgeCsvError(
             f"label count {len(labels)} does not match score count {len(scores)}"
@@ -337,13 +330,19 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _read_score_file(path, column=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The score column of a CSV file, and its label column if it has one.
+def _read_score_file(path, column=None, labels_path=None):
+    """The score column of a CSV file, and its labels, or None without any.
 
     With `column` None, the first of _SCORE_COLUMNS in the header is read.
     Blank rows are skipped, and a name that repeats in the header reads its
     last column. Every score must be finite; each error names the file line
     of its row. All scores are checked before any label.
+
+    The labels come from the file's label column, or else from the labeled
+    edge CSV at labels_path; a file with both raises UsageError. When the
+    header has src and dst, the labeled edges must match them row by row,
+    whitespace stripped; the first row that differs raises EdgeCsvError
+    naming its line. Without src and dst, rows pair by position only.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -367,6 +366,8 @@ def _read_score_file(path, column=None) -> tuple[np.ndarray, np.ndarray | None]:
             )
     elif column not in index:
         raise EdgeCsvError(f"{path}: no column named {column!r}")
+    if labels_path and "label" in index:
+        raise UsageError(f"{path} has a label column; drop --labels {labels_path}")
     at = index[column]
     scores = np.empty(len(rows))
     for i, (row, line) in enumerate(zip(rows, lines)):
@@ -384,6 +385,13 @@ def _read_score_file(path, column=None) -> tuple[np.ndarray, np.ndarray | None]:
         if not math.isfinite(value):
             raise EdgeCsvError(f"{path}:{line}: non-finite value in column {column!r}")
         scores[i] = value
+    if labels_path:
+        edges = None
+        if "src" in index and "dst" in index:
+            edges = [[row[at].strip() if at < len(row) else "" for row in rows]
+                     for at in (index["src"], index["dst"])]
+        del rows  # freed before the labels file is read, as with no --labels
+        return scores, _edge_labels(labels_path, path, edges, lines)
     if "label" not in index:
         return scores, None
     at = index["label"]
@@ -394,6 +402,24 @@ def _read_score_file(path, column=None) -> tuple[np.ndarray, np.ndarray | None]:
             raise EdgeCsvError(f"{path}:{line}: label must be 0 or 1, got {value!r}")
         labels.append(value == "1")
     return scores, np.array(labels, dtype=bool)
+
+
+def _edge_labels(labels_path, path, edges, lines) -> np.ndarray:
+    """The label column of the edge CSV at labels_path, its edges checked
+    against `edges`, the score file's src and dst columns, unless None."""
+    senders, receivers, labels = read_edge_records(labels_path)
+    if labels is None:
+        raise EdgeCsvError(f"{labels_path}: has no label column")
+    if edges is not None:
+        for k, (line, src, dst, sender, receiver) in enumerate(
+            zip(lines, *edges, senders, receivers), start=1
+        ):
+            if (src, dst) != (sender, receiver):
+                raise EdgeCsvError(
+                    f"{path}:{line}: edge {src!r} -> {dst!r} differs from edge "
+                    f"{sender!r} -> {receiver!r} in row {k} of {labels_path}"
+                )
+    return labels
 
 
 def _cmd_synth(args) -> int:
@@ -467,8 +493,8 @@ def _cmd_fpr_sim(args) -> int:
 
 
 def _read_corpus(path, vocab=None):
-    senders, receivers, labels = read_edge_records(path)
-    return corpus_from_pairs(senders, receivers, vocab), labels
+    senders, receivers, _ = read_edge_records(path)
+    return corpus_from_pairs(senders, receivers, vocab)
 
 
 def main(argv=None) -> int:

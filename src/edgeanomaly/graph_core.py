@@ -1,4 +1,4 @@
-"""Node interning, edge corpora, train/calibration splitting, and edge-list CSV I/O."""
+"""Node vocabularies, edge corpora, train/calibration splitting, and edge-list CSV I/O."""
 
 from __future__ import annotations
 
@@ -50,23 +50,26 @@ def format_float(x: float) -> str:
 
 
 class NodeVocab:
-    """Dense interner mapping node labels to indices 0..W-1.
+    """Fixed map from node labels to indices 0..W-1, in the order given.
 
-    Index W, one past the last interned label, is reserved for labels that
-    were never interned. Downstream categorical distributions over nodes
-    therefore use W+1 slots, the last one covering everything unseen.
+    Index W, one past the last label, is reserved for labels the vocabulary
+    does not hold. Downstream categorical distributions over nodes
+    therefore use W+1 slots, the last one covering everything unseen. A
+    vocabulary never changes once built, so every corpus and model that
+    shares it keeps the same slots.
     """
 
     def __init__(self, labels=()):
-        self._labels: list[str] = []
-        self._index: dict[str, int] = {}
-        self._frozen = False
-        for label in labels:
-            self.intern(label)
+        self._labels: tuple[str, ...] = tuple(labels)
+        self._index: dict[str, int] = dict(zip(self._labels, range(len(self._labels))))
+        if len(self._index) != len(self._labels):
+            # the dict keeps a repeated label's last index
+            repeated = next(x for i, x in enumerate(self._labels) if self._index[x] != i)
+            raise ValueError(f"duplicate labels: {repeated!r} appears more than once")
 
     @property
     def num_nodes(self) -> int:
-        """Count of distinct interned labels (the W above)."""
+        """Count of distinct labels (the W above)."""
         return len(self._labels)
 
     @property
@@ -75,37 +78,14 @@ class NodeVocab:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> "NodeVocab":
-        self._frozen = True
-        return self
-
-    def intern(self, label: str) -> int:
-        """Return the index for `label`, assigning the next free one if new."""
-        if self._frozen:
-            raise ValueError("cannot intern into a frozen vocabulary")
-        idx = self._index.get(label)
-        if idx is None:
-            idx = len(self._labels)
-            self._index[label] = idx
-            self._labels.append(label)
-        return idx
+        return self._labels
 
     def resolve(self, label: str) -> int:
         """Return the index for `label`, or the reserved unseen slot."""
         return self._index.get(label, self.unseen_slot)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self._index
-
     def __repr__(self) -> str:
-        state = "frozen" if self._frozen else "open"
-        return f"NodeVocab({self.num_nodes} labels, {state})"
+        return f"NodeVocab({self.num_nodes} labels)"
 
 
 @dataclass(frozen=True)
@@ -175,13 +155,11 @@ class EdgeCorpus:
 def corpus_from_pairs(senders, receivers, vocab: NodeVocab | None = None) -> EdgeCorpus:
     """Build a corpus from two equal-length columns of node labels.
 
-    Edge i runs from senders[i] to receivers[i]. Without a vocabulary,
-    labels are interned in order of first appearance, row by row and the
-    sender before the receiver. A frozen vocabulary maps unknown labels to
-    its reserved unseen slot.
+    Edge i runs from senders[i] to receivers[i]. Without a vocabulary, one
+    is built from the labels in order of first appearance, row by row and
+    the sender before the receiver. A given vocabulary only resolves
+    labels: one it does not hold maps to its reserved unseen slot.
     """
-    if vocab is None:
-        vocab = NodeVocab()
     n = len(senders)
     if len(receivers) != n:
         raise ValueError(
@@ -190,9 +168,8 @@ def corpus_from_pairs(senders, receivers, vocab: NodeVocab | None = None) -> Edg
     labels = [None] * (2 * n)
     labels[0::2] = senders
     labels[1::2] = receivers
-    if not vocab.frozen:
-        for label in dict.fromkeys(labels):
-            vocab.intern(label)
+    if vocab is None:
+        vocab = NodeVocab(dict.fromkeys(labels))
     tokens = np.fromiter(
         map(vocab._index.get, labels, repeat(vocab.unseen_slot)),
         dtype=np.int64,

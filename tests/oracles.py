@@ -277,21 +277,28 @@ def read_score_file(path, column=None):
     return scores, np.array(labels, dtype=bool)
 
 
-def intern_pairs(pairs, vocab):
-    """(senders, receivers) of (src, dst) label pairs, one label at a time.
+def intern_pairs(pairs, vocab=None):
+    """(senders, receivers, labels) of (src, dst) label pairs, one label at a time.
 
-    Interns, or resolves when the vocabulary is frozen, each pair's sender
-    and then its receiver, in order, which fixes the vocabulary's order.
+    Without a vocabulary, interns each pair's sender and then its receiver,
+    in order, into a plain dict, whose keys then give the labels in index
+    order. Given a vocabulary, resolves each label against it and returns
+    its labels.
     """
-    if vocab.frozen:
-        lookup = vocab.resolve
+    if vocab is None:
+        index = {}
+
+        def lookup(label):
+            if label not in index:
+                index[label] = len(index)
+            return index[label]
     else:
-        lookup = vocab.intern
+        lookup = vocab.resolve
     senders, receivers = [], []
     for src, dst in pairs:
         senders.append(lookup(src))
         receivers.append(lookup(dst))
-    return senders, receivers
+    return senders, receivers, tuple(index) if vocab is None else vocab.labels
 
 
 class StreamHistory:

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -46,7 +47,7 @@ def small_corpus(seed=3, num_nodes=10, num_edges=80):
 
 def toy_model(topic_node, topic_weights, num_real_nodes):
     """FittedModel wrapper for hand-built parameter matrices."""
-    vocab = NodeVocab([f"n{i}" for i in range(num_real_nodes)]).freeze()
+    vocab = NodeVocab([f"n{i}" for i in range(num_real_nodes)])
     k_h = len(topic_weights)
     return FittedModel(
         topic_node=np.asarray(topic_node, dtype=float),
@@ -77,8 +78,9 @@ class TestStickWeights:
         )
 
     def test_truncated_last_takes_remainder(self):
+        # a final fraction of 1.0 breaks off all the mass the others left
         np.testing.assert_allclose(
-            stick_weights([0.5, 0.5, 0.5], truncate_last=True), [0.5, 0.25, 0.25]
+            stick_weights([0.5, 0.5, 1.0]), [0.5, 0.25, 0.25]
         )
 
     def test_first_stick_takes_all(self):
@@ -88,7 +90,7 @@ class TestStickWeights:
         rng = np.random.default_rng(0)
         for _ in range(50):
             fractions = rng.uniform(size=rng.integers(1, 12))
-            total = stick_weights(fractions, truncate_last=True).sum()
+            total = stick_weights(np.append(fractions, 1.0)).sum()
             assert abs(total - 1.0) < 1e-12
 
     @pytest.mark.parametrize("bad", [[-0.1, 0.5], [0.5, 1.2], []])
@@ -576,6 +578,14 @@ class TestFit:
         assert model.diagnostics.converged
         assert model.diagnostics.sweeps <= 200
 
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-5, math.nan, math.inf])
+    def test_rel_tol_must_be_positive_and_finite(self, rel_tol):
+        corpus = small_corpus(seed=6, num_edges=20)
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            fit(corpus, HYPER, SMALL_TRUNC, rel_tol=rel_tol)
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            fit_state(corpus, HYPER, SMALL_TRUNC, rel_tol=rel_tol)
+
     def test_trace_monotone_and_convergence_flag(self):
         corpus = small_corpus(seed=6, num_edges=150)
         model = fit(corpus, HYPER, SMALL_TRUNC, seed=1)
@@ -611,17 +621,23 @@ class TestFit:
         total = float(np.sum(state.lam - HYPER.eta))
         assert abs(total - 2.0 * corpus.n) <= 1e-6 * 2.0 * corpus.n
 
-    def test_freezes_a_copy_of_the_vocab(self):
+    def test_keeps_the_corpus_vocab(self):
         sampled = small_corpus(seed=1)
         vocab = NodeVocab(sampled.vocab.labels)
         corpus = EdgeCorpus(sampled.senders, sampled.receivers, vocab)
         model = fit(corpus, HYPER, SMALL_TRUNC, seed=0)
-        assert not vocab.frozen
-        assert model.vocab.frozen
-        assert model.vocab.labels == vocab.labels
+        assert model.vocab is vocab
         assert corpus_from_pairs(["n0"], ["late"], vocab).receivers[0] == 10
         assert model.num_nodes == 10
         assert model.vocab.num_nodes == 10
+
+    def test_a_later_corpus_on_the_vocab_leaves_the_fit_alone(self):
+        vocab = NodeVocab(["a", "b"])
+        corpus = EdgeCorpus([0, 2, 1], [2, 1, 0], vocab)
+        corpus_from_pairs(["c"], ["a"], vocab)
+        model = fit(corpus, HYPER, SMALL_TRUNC, seed=0)
+        assert model.num_nodes == 2
+        assert model.topic_node.shape == (SMALL_TRUNC.k_h, 3)
 
 
 class TestPredictiveLogLikelihood:
@@ -822,7 +838,6 @@ class TestSampler:
 
     def test_edges_within_real_nodes(self):
         corpus = sample_edges(HYPER, SMALL_TRUNC, 9, 200, seed=1)
-        assert corpus.vocab.frozen
         assert corpus.vocab.num_nodes == 9
         assert corpus.senders.max() < 9
         assert corpus.receivers.max() < 9
@@ -880,7 +895,6 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.topic_node, model.topic_node)
         np.testing.assert_array_equal(loaded.topic_weights, model.topic_weights)
         assert loaded.vocab.labels == model.vocab.labels
-        assert loaded.vocab.frozen
         assert loaded.hyper == model.hyper
         assert loaded.trunc == model.trunc
         assert loaded.diagnostics.elbo_trace == model.diagnostics.elbo_trace
@@ -1049,7 +1063,7 @@ def stored_models(draw):
     return FittedModel(
         topic_node=simplex_rows(k_h, num_nodes + 1),
         topic_weights=simplex_rows(1, k_h)[0],
-        vocab=NodeVocab(labels).freeze(),
+        vocab=NodeVocab(labels),
         hyper=HyperParams(eta=draw(positive), gamma=draw(positive), tau=draw(positive)),
         trunc=TruncationLevels(k_h=k_h, k_a=draw(st.integers(1, k_h)),
                                k_b=draw(st.integers(1, k_h))),
@@ -1063,7 +1077,6 @@ class TestSerializationRoundTrip:
         assert loaded.topic_node.tobytes() == model.topic_node.tobytes()
         assert loaded.topic_weights.tobytes() == model.topic_weights.tobytes()
         assert loaded.vocab.labels == model.vocab.labels
-        assert loaded.vocab.frozen
         assert loaded.hyper == model.hyper
         assert loaded.trunc == model.trunc
         assert loaded.diagnostics == model.diagnostics

@@ -370,6 +370,21 @@ class TestExitCodes:
         assert rc == 1
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-5"])
+    def test_rel_tol_must_be_positive_and_finite(self, pipeline, tmp_path, capsys, value):
+        model = str(tmp_path / "m.adnd")
+        rc = main(["fit", "--train", pipeline["train"], "--model", model,
+                   f"--rel-tol={value}"] + SHAPE)
+        assert rc == 1
+        assert "rel_tol must be positive and finite" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"rel_tol = {value}\n")
+        rc = main(["fit", "--train", pipeline["train"], "--model", model,
+                   "--config", str(cfg)] + SHAPE)
+        assert rc == 1
+        assert "rel_tol must be positive and finite" in capsys.readouterr().err
+        assert not Path(model).exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         rc = main(["fit", "--train", str(tmp_path / "absent.csv"),
                    "--model", str(tmp_path / "m.adnd")])
@@ -431,6 +446,56 @@ class TestExitCodes:
         rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")])
         assert rc == 2
         assert "bad.csv:3: missing field 'alpha'" in capsys.readouterr().err
+
+    def test_eval_labels_beside_a_label_column_is_usage_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("src,dst,alpha,label\na,b,0.5,1\nc,d,0.25,0\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("src,dst,label\na,b,0\nc,d,1\n")
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels),
+                   "--out-prefix", str(tmp_path / "m")])
+        assert rc == 1
+        assert "scores.csv has a label column; drop --labels" in capsys.readouterr().err
+        assert not (tmp_path / "m_auc.txt").exists()
+
+    @pytest.mark.parametrize("order", [[1, 0, 2], [0, 2, 1], [2, 1, 0]])
+    def test_eval_labels_in_another_row_order_is_data_error(self, tmp_path, capsys, order):
+        edges = [("a", "b", 1), ("c", "d", 0), ("e", "f", 0)]
+        scores = tmp_path / "scores.csv"
+        scores.write_text("src,dst,alpha\na,b,0.5\n\nc,d,0.25\ne,f,0.125\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("src,dst,label\n" + "".join(
+            "%s,%s,%d\n" % edges[i] for i in order))
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels),
+                   "--out-prefix", str(tmp_path / "m")])
+        assert rc == 2
+        first = next(k for k, i in enumerate(order) if i != k)
+        line = [2, 4, 5][first]
+        src, dst, _ = edges[first]
+        assert f"scores.csv:{line}: edge {src!r} -> {dst!r} differs from edge" in (
+            capsys.readouterr().err)
+
+    def test_eval_labels_match_after_stripping(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text('alpha,dst,src\n0.5, b ,"a "\n0.25,d,c\n')
+        labels = tmp_path / "labels.csv"
+        labels.write_text("src,dst,label\n a ,b,1\nc, d ,0\n")
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels),
+                   "--out-prefix", str(tmp_path / "m")])
+        assert rc == 0
+        assert "over 2 rows (1 anomalies)" in capsys.readouterr().out
+
+    def test_eval_labels_pair_by_position_without_edge_columns(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("score\n0.5\n0.25\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("src,dst,label\nx,y,1\nu,v,0\n")
+        rc = main(["eval", "--scores", str(scores), "--labels", str(labels),
+                   "--out-prefix", str(tmp_path / "m")])
+        assert rc == 0
+        # the higher score carries the anomaly, so the AUC is 0
+        assert (tmp_path / "m_auc.txt").read_text() == "0\n"
+        capsys.readouterr()
 
     def test_bad_model_magic_is_data_error(self, pipeline, tmp_path, capsys):
         fake = tmp_path / "fake.adnd"

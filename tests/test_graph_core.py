@@ -26,39 +26,43 @@ from edgeanomaly.graph_core import (
 
 class TestNodeVocab:
     def test_first_insertion_gets_zero(self):
-        vocab = NodeVocab()
-        assert vocab.intern("alice") == 0
-
-    def test_intern_is_idempotent(self):
         vocab = NodeVocab(["alice"])
-        assert vocab.intern("alice") == 0
-        assert vocab.num_nodes == 1
+        assert vocab.resolve("alice") == 0
+
+    @pytest.mark.parametrize("labels", [["a", "a"], ["a", "b", "c", "b"], ("x", "y", "x")])
+    def test_repeated_label_rejected(self, labels):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            NodeVocab(labels)
 
     def test_sequential_assignment(self):
-        vocab = NodeVocab(["alice"])
-        assert vocab.intern("bob") == 1
+        vocab = NodeVocab(label for label in ["alice", "bob"])
+        assert [vocab.resolve("alice"), vocab.resolve("bob")] == [0, 1]
         assert vocab.labels == ("alice", "bob")
+        assert vocab.num_nodes == 2
 
     def test_resolve_unknown_maps_to_unseen_slot(self):
-        vocab = NodeVocab(["a", "b", "c"]).freeze()
+        vocab = NodeVocab(["a", "b", "c"])
         assert vocab.resolve("mallory") == 3
         assert vocab.unseen_slot == 3
 
     def test_resolve_known_label(self):
-        vocab = NodeVocab(["a", "b"]).freeze()
+        vocab = NodeVocab(["a", "b"])
         assert vocab.resolve("b") == 1
 
     def test_resolve_on_empty_vocab(self):
-        vocab = NodeVocab().freeze()
+        vocab = NodeVocab()
         assert vocab.resolve("anything") == 0
 
-    def test_intern_after_freeze_raises(self):
-        vocab = NodeVocab(["a"]).freeze()
-        with pytest.raises(ValueError):
-            vocab.intern("b")
+    def test_labels_are_the_stored_tuple(self):
+        given = ["a", "b"]
+        vocab = NodeVocab(given)
+        given.append("c")
+        assert vocab.labels is vocab.labels
+        assert vocab.labels == ("a", "b")
+        assert vocab.resolve("c") == vocab.unseen_slot == 2
 
     def test_resolve_never_exceeds_unseen_slot(self):
-        vocab = NodeVocab([f"node{i}" for i in range(17)]).freeze()
+        vocab = NodeVocab([f"node{i}" for i in range(17)])
         rng = np.random.default_rng(0)
         for _ in range(200):
             label = f"x{rng.integers(0, 40)}"
@@ -83,9 +87,20 @@ class TestEdgeCorpus:
             EdgeCorpus([0, 1], [1], vocab)
 
     def test_unseen_slot_is_a_legal_endpoint(self):
-        vocab = NodeVocab(["a", "b"]).freeze()
+        vocab = NodeVocab(["a", "b"])
         corpus = EdgeCorpus([0, 2], [2, 1], vocab)
         assert corpus.n == 2
+
+    def test_a_second_corpus_leaves_the_first_unchanged(self):
+        vocab = NodeVocab(["a", "b"])
+        first = EdgeCorpus([0, 2], [2, 1], vocab)
+        second = corpus_from_pairs(["c"], ["a"], vocab)
+        assert (second.senders.tolist(), second.receivers.tolist()) == ([2], [0])
+        assert first.vocab.num_nodes == 2
+        assert first.vocab.labels == ("a", "b")
+        # the first corpus's unseen-slot edge names no label
+        assert first.senders[1] == first.vocab.unseen_slot
+        assert [first.vocab.resolve(label) for label in "abc"] == [0, 1, 2]
 
     def test_empty_corpus(self):
         corpus = EdgeCorpus([], [], NodeVocab())
@@ -198,7 +213,7 @@ class TestEdgeCsv:
     def test_resolves_against_frozen_vocab(self, tmp_path):
         path = tmp_path / "edges.csv"
         write_edge_csv(path, ["a", "mallory"], ["mallory", "b"])
-        vocab = NodeVocab(["a", "b", "c"]).freeze()
+        vocab = NodeVocab(["a", "b", "c"])
         senders, receivers, _ = read_edge_records(path)
         corpus = corpus_from_pairs(senders, receivers, vocab)
         assert list(corpus) == [Edge(0, 3), Edge(3, 1)]
@@ -253,7 +268,6 @@ class TestEdgeCsv:
     def test_corpus_from_pairs_interns_in_order(self):
         corpus = corpus_from_pairs(["m", "n"], ["n", "o"])
         assert corpus.vocab.labels == ("m", "n", "o")
-        assert not corpus.vocab.frozen
 
 
 _LABELS = st.text(alphabet="abcde", min_size=1, max_size=2)
@@ -264,43 +278,40 @@ class TestCorpusFromPairs:
     @settings(max_examples=200, deadline=None)
     @given(
         pairs=st.lists(st.tuples(_LABELS, _LABELS), max_size=40),
-        known=st.lists(_LABELS, max_size=6),
-        frozen=st.booleans(),
+        known=st.none() | st.lists(_LABELS, max_size=6, unique=True),
     )
-    def test_matches_interning_each_pair_in_turn(self, pairs, known, frozen):
-        # "zz" is never drawn, so it first appears as a receiver.
+    def test_matches_interning_each_pair_in_turn(self, pairs, known):
+        # "zz" is never drawn, so without a vocabulary it first appears as a
+        # receiver, and with one it resolves to the unseen slot.
         pairs = [("a", "zz")] + pairs
-        vocab = NodeVocab(known)
-        reference = NodeVocab(known)
-        if frozen:
-            vocab.freeze()
-            reference.freeze()
-        lookup = reference.resolve if frozen else reference.intern
-        expected = [(lookup(src), lookup(dst)) for src, dst in pairs]
+        if known is None:
+            vocab, index = None, {}
+            for pair in pairs:
+                for label in pair:
+                    index.setdefault(label, len(index))
+        else:
+            vocab, index = NodeVocab(known), dict(zip(known, range(len(known))))
+        unseen = len(index)
+        expected = [(index.get(src, unseen), index.get(dst, unseen)) for src, dst in pairs]
 
         corpus = corpus_from_pairs([s for s, _ in pairs], [r for _, r in pairs], vocab)
-        assert corpus.vocab is vocab
-        assert vocab.labels == reference.labels
+        if vocab is not None:
+            assert corpus.vocab is vocab
+        assert corpus.vocab.labels == tuple(index)
         assert corpus.senders.tolist() == [s for s, _ in expected]
         assert corpus.receivers.tolist() == [r for _, r in expected]
-
 
     @settings(max_examples=200, deadline=None)
     @given(
         pairs=st.lists(st.tuples(_INGEST_LABELS, _INGEST_LABELS), max_size=40),
-        known=st.lists(_INGEST_LABELS, max_size=6),
-        frozen=st.booleans(),
+        known=st.none() | st.lists(_INGEST_LABELS, max_size=6, unique=True),
     )
-    def test_matches_the_per_label_oracle(self, pairs, known, frozen):
-        vocab = NodeVocab(known)
-        reference = NodeVocab(known)
-        if frozen:
-            vocab.freeze()
-            reference.freeze()
-        senders, receivers = oracles.intern_pairs(pairs, reference)
+    def test_matches_the_per_label_oracle(self, pairs, known):
+        vocab = None if known is None else NodeVocab(known)
+        senders, receivers, labels = oracles.intern_pairs(pairs, vocab)
 
         corpus = corpus_from_pairs([s for s, _ in pairs], [r for _, r in pairs], vocab)
-        assert vocab.labels == reference.labels
+        assert corpus.vocab.labels == labels
         assert corpus.senders.tolist() == senders
         assert corpus.receivers.tolist() == receivers
 
