@@ -13,6 +13,7 @@ from .adnd import (
     FittedModel,
     HyperParams,
     SamplerParams,
+    SideState,
     TruncationLevels,
     VariationalState,
     compute_elbo,

@@ -35,6 +35,7 @@ __all__ = [
     "ModelFormatError",
     "HyperParams",
     "TruncationLevels",
+    "SideState",
     "VariationalState",
     "FitDiagnostics",
     "FittedModel",
@@ -219,6 +220,26 @@ def _slot_statistics(slot_count: np.ndarray, slot_resp: np.ndarray):
 
 
 @dataclass
+class SideState:
+    """One side's variational parameters: the senders' or the receivers'.
+
+    Shapes, with k atoms on this side (k_a for senders, k_b for receivers),
+    k_h shared topics and W+1 node slots:
+
+    - stick_a/b: (k-1,) Beta parameters of the side's sticks
+    - topic_resp: (k, k_h) rowwise probabilities that an atom points at each
+      shared topic
+    - slot_resp: (W+1, k) rowwise probabilities that an edge on each node
+      slot used each atom; every edge on a slot shares that slot's row
+    """
+
+    stick_a: np.ndarray
+    stick_b: np.ndarray
+    topic_resp: np.ndarray
+    slot_resp: np.ndarray
+
+
+@dataclass
 class VariationalState:
     """All variational parameters for one corpus.
 
@@ -227,37 +248,32 @@ class VariationalState:
 
     - lam: (k_h, W+1) Dirichlet parameters of the topics over node slots
     - corpus_stick_a/b: (k_h-1,) Beta parameters of the shared topic sticks
-    - send_stick_a/b: (k_a-1,), recv_stick_a/b: (k_b-1,) per-side sticks
-    - send_topic_resp: (k_a, k_h), recv_topic_resp: (k_b, k_h) rowwise
-      probabilities that an atom points at each shared topic
-    - send_slot_resp: (W+1, k_a), recv_slot_resp: (W+1, k_b) rowwise
-      probabilities that an edge on each node slot used each atom; every
-      edge on a slot shares that slot's row
+    - send, recv: each side's SideState, with k_a and k_b atoms
     """
 
     lam: np.ndarray
     corpus_stick_a: np.ndarray
     corpus_stick_b: np.ndarray
-    send_stick_a: np.ndarray
-    send_stick_b: np.ndarray
-    recv_stick_a: np.ndarray
-    recv_stick_b: np.ndarray
-    send_topic_resp: np.ndarray
-    recv_topic_resp: np.ndarray
-    send_slot_resp: np.ndarray
-    recv_slot_resp: np.ndarray
+    send: SideState
+    recv: SideState
 
     def validate(self, atol: float = 1e-9) -> None:
         """Check positivity and simplex constraints; raise on violation."""
         if np.any(self.lam <= 0.0):
             raise ValueError("lam must stay positive")
-        for name in ("corpus", "send", "recv"):
-            a = getattr(self, f"{name}_stick_a")
-            b = getattr(self, f"{name}_stick_b")
+        for name, a, b in (
+            ("corpus", self.corpus_stick_a, self.corpus_stick_b),
+            ("send", self.send.stick_a, self.send.stick_b),
+            ("recv", self.recv.stick_a, self.recv.stick_b),
+        ):
             if np.any(a <= 0.0) or np.any(b <= 0.0):
                 raise ValueError(f"{name} stick parameters must stay positive")
-        for name in ("send_topic_resp", "recv_topic_resp", "send_slot_resp", "recv_slot_resp"):
-            rows = getattr(self, name)
+        for name, rows in (
+            ("send_topic_resp", self.send.topic_resp),
+            ("recv_topic_resp", self.recv.topic_resp),
+            ("send_slot_resp", self.send.slot_resp),
+            ("recv_slot_resp", self.recv.slot_resp),
+        ):
             if np.any(rows < 0.0):
                 raise ValueError(f"{name} has negative entries")
             if np.max(np.abs(rows.sum(axis=1) - 1.0)) > atol:
@@ -355,19 +371,37 @@ def init_state(
     dim = corpus.vocab.num_nodes + 1
     rng = np.random.default_rng(seed)
     lam = hyper.eta + rng.uniform(0.0, n / (trunc.k_h * dim), size=(trunc.k_h, dim))
-    return VariationalState(
-        lam=lam,
-        corpus_stick_a=np.ones(trunc.k_h - 1),
-        corpus_stick_b=np.full(trunc.k_h - 1, hyper.gamma),
-        send_stick_a=np.ones(trunc.k_a - 1),
-        send_stick_b=np.full(trunc.k_a - 1, hyper.tau),
-        recv_stick_a=np.ones(trunc.k_b - 1),
-        recv_stick_b=np.full(trunc.k_b - 1, hyper.tau),
-        send_topic_resp=_uniform_rows(rng, (trunc.k_a, trunc.k_h)),
-        recv_topic_resp=_uniform_rows(rng, (trunc.k_b, trunc.k_h)),
-        send_slot_resp=_uniform_rows(rng, (dim, trunc.k_a)),
-        recv_slot_resp=_uniform_rows(rng, (dim, trunc.k_b)),
+    sizes = (trunc.k_a, trunc.k_b)
+    topic_rows = [_uniform_rows(rng, (k, trunc.k_h)) for k in sizes]
+    slot_rows = [_uniform_rows(rng, (dim, k)) for k in sizes]
+    send, recv = (
+        SideState(np.ones(k - 1), np.full(k - 1, hyper.tau), topic_resp, slot_resp)
+        for k, topic_resp, slot_resp in zip(sizes, topic_rows, slot_rows)
     )
+    return VariationalState(
+        lam, np.ones(trunc.k_h - 1), np.full(trunc.k_h - 1, hyper.gamma), send, recv
+    )
+
+
+@dataclass
+class _SideSweep:
+    """One side's share of the sweep carrier: its edge count per node slot,
+    the token counts, column mass and entropy that set_slots takes from its
+    slot responsibilities, and the expected log stick weights and digammas
+    that set_sticks takes from its sticks."""
+
+    slot_count: np.ndarray
+    counts: np.ndarray = field(init=False)
+    mass: np.ndarray = field(init=False)
+    entropy: float = field(init=False)
+    elog_sticks: np.ndarray = field(init=False)
+    digammas: _StickDigammas = field(init=False)
+
+    def set_slots(self, slot_resp: np.ndarray) -> None:
+        self.counts, self.mass, self.entropy = _slot_statistics(self.slot_count, slot_resp)
+
+    def set_sticks(self, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
+        self.elog_sticks, self.digammas = _expected_log_sticks(shape_a, shape_b)
 
 
 @dataclass
@@ -377,28 +411,16 @@ class _Sweep:
     Each side's edge count per node slot depends only on the corpus, and the
     log normalizer of the topics' Dirichlet prior only on eta and the
     shapes, so each is computed once. Every other value is written by the
-    block that changes its source. The document update changes the slot
-    responsibilities and the per-side sticks, so it writes each side's token
-    counts, the entropy of the responsibilities, their column mass, and the
-    expected log stick weights with the stick digammas they come from. The
+    block that changes its source. The document update changes each side's
+    slot responsibilities and sticks, so it writes each side's _SideSweep. The
     corpus update changes lam and the corpus sticks, so it writes
     digamma(lam), the topics' E[log p], and the corpus stick expectations
     and digammas. No value is sized by the number of edges.
     """
 
-    send_slot_count: np.ndarray
-    recv_slot_count: np.ndarray
+    send: _SideSweep
+    recv: _SideSweep
     topic_prior_norm: float
-    send_counts: np.ndarray = field(init=False)
-    recv_counts: np.ndarray = field(init=False)
-    send_entropy: float = field(init=False)
-    recv_entropy: float = field(init=False)
-    send_mass: np.ndarray = field(init=False)
-    recv_mass: np.ndarray = field(init=False)
-    send_elog_sticks: np.ndarray = field(init=False)
-    recv_elog_sticks: np.ndarray = field(init=False)
-    send_stick_digammas: _StickDigammas = field(init=False)
-    recv_stick_digammas: _StickDigammas = field(init=False)
     digamma_lam: np.ndarray = field(init=False)
     elog_topic: np.ndarray = field(init=False)
     elog_corpus: np.ndarray = field(init=False)
@@ -408,8 +430,8 @@ class _Sweep:
     def start(cls, state: VariationalState, corpus: EdgeCorpus, hyper: HyperParams) -> _Sweep:
         """A carrier whose derived values all match the given state."""
         sweep = cls.for_fit(state, corpus, hyper)
-        for side in ("send", "recv"):
-            sweep.set_slots(side, getattr(state, f"{side}_slot_resp"))
+        sweep.send.set_slots(state.send.slot_resp)
+        sweep.recv.set_slots(state.recv.slot_resp)
         return sweep
 
     @classmethod
@@ -422,29 +444,15 @@ class _Sweep:
         """
         k_h, dim = state.lam.shape
         sweep = cls(
-            np.bincount(corpus.senders, minlength=dim).astype(float),
-            np.bincount(corpus.receivers, minlength=dim).astype(float),
+            _SideSweep(np.bincount(corpus.senders, minlength=dim).astype(float)),
+            _SideSweep(np.bincount(corpus.receivers, minlength=dim).astype(float)),
             k_h * (scipy.special.gammaln(dim * hyper.eta) - dim * scipy.special.gammaln(hyper.eta)),
         )
-        for side in ("send", "recv"):
-            sweep.set_sticks(
-                side, getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b")
-            )
+        for side, carried in ((state.send, sweep.send), (state.recv, sweep.recv)):
+            carried.set_sticks(side.stick_a, side.stick_b)
         sweep.set_topics(state.lam)
         sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
         return sweep
-
-    def set_slots(self, side: str, slot_resp: np.ndarray) -> None:
-        """Store one side's token counts, column mass and entropy."""
-        counts, mass, entropy = _slot_statistics(getattr(self, f"{side}_slot_count"), slot_resp)
-        setattr(self, f"{side}_counts", counts)
-        setattr(self, f"{side}_mass", mass)
-        setattr(self, f"{side}_entropy", entropy)
-
-    def set_sticks(self, side: str, shape_a: np.ndarray, shape_b: np.ndarray) -> None:
-        elog, digammas = _expected_log_sticks(shape_a, shape_b)
-        setattr(self, f"{side}_elog_sticks", elog)
-        setattr(self, f"{side}_stick_digammas", digammas)
 
     def set_topics(self, lam: np.ndarray) -> None:
         # rowwise E[log p] of Dirichlet(lam) rows, keeping the digamma terms
@@ -491,23 +499,13 @@ def update_document_level(
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus, hyper)
     elog_topic = sweep.elog_topic
 
-    for side in ("send", "recv"):
-        topic_resp = getattr(state, f"{side}_topic_resp")
-        elog_side = getattr(sweep, f"{side}_elog_sticks")
-
-        atom_token_score = topic_resp @ elog_topic
-        slot_resp = _exp_normalize(np.add(atom_token_score.T, elog_side, order="C"))
-        sweep.set_slots(side, slot_resp)
-
-        counts = getattr(sweep, f"{side}_counts")
-        topic_resp = _exp_normalize(counts @ elog_topic.T + sweep.elog_corpus)
-
-        shape_a, shape_b = _stick_shapes(getattr(sweep, f"{side}_mass"), hyper.tau)
-        sweep.set_sticks(side, shape_a, shape_b)
-        setattr(state, f"{side}_slot_resp", slot_resp)
-        setattr(state, f"{side}_topic_resp", topic_resp)
-        setattr(state, f"{side}_stick_a", shape_a)
-        setattr(state, f"{side}_stick_b", shape_b)
+    for side, carried in ((state.send, sweep.send), (state.recv, sweep.recv)):
+        atom_token_score = side.topic_resp @ elog_topic
+        side.slot_resp = _exp_normalize(np.add(atom_token_score.T, carried.elog_sticks, order="C"))
+        carried.set_slots(side.slot_resp)
+        side.topic_resp = _exp_normalize(carried.counts @ elog_topic.T + sweep.elog_corpus)
+        side.stick_a, side.stick_b = _stick_shapes(carried.mass, hyper.tau)
+        carried.set_sticks(side.stick_a, side.stick_b)
     return state
 
 
@@ -531,14 +529,14 @@ def update_corpus_level(
     E[log p] on the carrier, for the bound and the next document update.
     """
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus, hyper)
-    stacked = np.vstack([state.send_topic_resp, state.recv_topic_resp])
+    stacked = np.vstack([state.send.topic_resp, state.recv.topic_resp])
     state.corpus_stick_a, state.corpus_stick_b = stick_posterior(stacked, hyper.gamma)
     sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
 
     state.lam = (
         hyper.eta
-        + state.send_topic_resp.T @ sweep.send_counts
-        + state.recv_topic_resp.T @ sweep.recv_counts
+        + state.send.topic_resp.T @ sweep.send.counts
+        + state.recv.topic_resp.T @ sweep.recv.counts
     )
     sweep.set_topics(state.lam)
     return state
@@ -612,20 +610,14 @@ def compute_elbo(
     elog_corpus = sweep.elog_corpus
     total = 0.0
 
-    for side in ("send", "recv"):
-        topic_resp = getattr(state, f"{side}_topic_resp")
-        digammas = getattr(sweep, f"{side}_stick_digammas")
-        counts = getattr(sweep, f"{side}_counts")
-
-        total += float((topic_resp * (counts @ elog_topic.T)).sum())
-        total += float((topic_resp @ elog_corpus).sum())
-        total += float(getattr(sweep, f"{side}_mass") @ getattr(sweep, f"{side}_elog_sticks"))
-        total += _stick_prior_term(digammas, hyper.tau)
-        total += _categorical_entropy(topic_resp)
-        total += getattr(sweep, f"{side}_entropy")
-        total += _beta_entropy(
-            getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b"), digammas
-        )
+    for side, carried in ((state.send, sweep.send), (state.recv, sweep.recv)):
+        total += float((side.topic_resp * (carried.counts @ elog_topic.T)).sum())
+        total += float((side.topic_resp @ elog_corpus).sum())
+        total += float(carried.mass @ carried.elog_sticks)
+        total += _stick_prior_term(carried.digammas, hyper.tau)
+        total += _categorical_entropy(side.topic_resp)
+        total += carried.entropy
+        total += _beta_entropy(side.stick_a, side.stick_b, carried.digammas)
 
     total += _stick_prior_term(sweep.corpus_stick_digammas, hyper.gamma)
     total += float(sweep.topic_prior_norm + (hyper.eta - 1.0) * elog_topic.sum())
@@ -949,20 +941,22 @@ def load_model(path) -> FittedModel:
     """Read back a model written by save_model, verifying the magic line.
 
     Reads ADND2 and the older ADND1, whose topic_node is a list of hex-float
-    rows; saving the loaded model writes ADND2. A body that does not parse,
-    names labels that are not distinct strings, holds diagnostics of the
-    wrong JSON type or a sweep count unequal to the ELBO trace length, or
-    whose arrays FittedModel rejects (wrong shape for the vocabulary,
-    non-finite or negative entries) raises ModelFormatError.
+    rows; saving the loaded model writes ADND2. A file that is not UTF-8 or
+    whose body does not parse, names labels that are not distinct strings,
+    holds diagnostics of the wrong JSON type or a sweep count unequal to the
+    ELBO trace length, or whose arrays FittedModel rejects (wrong shape for
+    the vocabulary, non-finite or negative entries) raises ModelFormatError.
     """
     with open(path, encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic not in (_MODEL_MAGIC_V1, MODEL_MAGIC):
-            raise ModelFormatError(
-                f"{path}: not a {MODEL_MAGIC} or {_MODEL_MAGIC_V1} model file"
-            )
         try:
+            magic = fh.readline().rstrip("\n")
+            if magic not in (_MODEL_MAGIC_V1, MODEL_MAGIC):
+                raise ModelFormatError(
+                    f"{path}: not a {MODEL_MAGIC} or {_MODEL_MAGIC_V1} model file"
+                )
             payload = json.load(fh)
+        except UnicodeDecodeError as err:
+            raise ModelFormatError(f"{path}: not UTF-8 text: {err}") from err
         except json.JSONDecodeError as err:
             raise ModelFormatError(f"{path}: malformed model body: {err}") from err
     try:

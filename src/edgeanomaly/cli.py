@@ -1,7 +1,8 @@
 """Command line front end: fit, score, detect, rhss, eval, synth, fpr-sim.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, bad config), 2 on
-data errors (missing or malformed files, invalid corpora). Option values
+data errors (missing or malformed files, invalid corpora); any other
+exception is a bug and propagates with its traceback. Option values
 resolve as command line flags first, then `key = value` lines from an
 optional config file, then built-in defaults. Every run is driven by one
 seed; commands that need several random streams derive them from it.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -24,6 +26,7 @@ from .graph_core import (
     format_float,
     quote_labels,
     read_edge_records,
+    read_text,
     write_edge_csv,
     write_rows,
 )
@@ -35,7 +38,22 @@ class UsageError(Exception):
     """Bad invocation: unknown flags, malformed config, out-of-range values."""
 
 
+# A negative float as Python writes it: a decimal with an optional exponent,
+# or an infinity or NaN.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # _negative_number_matcher is a private argparse attribute: an argument
+        # that starts with "-" and that it does not match is read as a flag.
+        # argparse's own pattern matches only forms like -1 and -0.5, so
+        # "--rel-tol -1e-5" would fail with "expected one argument".
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
@@ -73,6 +91,8 @@ class RunConfig:
             raise UsageError("max_sweeps must be at least 1")
         if not 0.0 < self.rel_tol < math.inf:  # NaN fails both comparisons
             raise UsageError("rel_tol must be positive and finite")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
 
     def hyper(self) -> adnd.HyperParams:
         return adnd.HyperParams(eta=self.eta, gamma=self.gamma, tau=self.tau)
@@ -104,7 +124,7 @@ def load_config_file(path) -> dict:
                     values[key] = _CONFIG_CASTS[key](value)
                 except ValueError as err:
                     raise UsageError(f"{path}:{lineno}: bad value for {key}: {err}") from err
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {path}: {err}") from err
     return values
 
@@ -223,6 +243,8 @@ def build_parser() -> _Parser:
 def _cmd_fit(args) -> int:
     cfg = _resolve_config(args)
     corpus = _read_corpus(args.train)
+    if corpus.n == 0:
+        raise EdgeCsvError(f"{args.train}: no edges; cannot initialize from an empty corpus")
     model = adnd.fit(
         corpus,
         cfg.hyper(),
@@ -263,6 +285,8 @@ def _cmd_detect(args) -> int:
     cfg = _resolve_config(args)
     model = adnd.load_model(args.model)
     calib_corpus = _read_corpus(args.calib, model.vocab)
+    if calib_corpus.n == 0:
+        raise EdgeCsvError(f"{args.calib}: no edges; calibration set must not be empty")
     senders, receivers, _ = read_edge_records(args.test)
     test_corpus = corpus_from_pairs(senders, receivers, model.vocab)
     calib = conformal.calibration_scores(model, calib_corpus)
@@ -304,6 +328,11 @@ def _cmd_eval(args) -> int:
     if len(labels) != len(scores):
         raise EdgeCsvError(
             f"label count {len(labels)} does not match score count {len(scores)}"
+        )
+    if labels.all() or not labels.any():
+        raise EdgeCsvError(
+            f"{args.labels or args.scores}: labels must hold both 0 and 1, "
+            f"got {int(labels.sum())} anomalies in {len(labels)} rows"
         )
 
     labeled = evaluation.LabeledScores(scores, labels)
@@ -357,6 +386,11 @@ def _read_score_file(path, column=None, labels_path=None):
                     lines.append(reader.line_num)
         except csv.Error as err:  # an over-long field, or NUL before Python 3.11
             raise EdgeCsvError(f"{path}:{reader.line_num}: {err}") from err
+        except UnicodeDecodeError as err:
+            # the decoder reads ahead of the rows, so the line comes from
+            # read_text, which raises unless the file has changed since
+            read_text(path)
+            raise EdgeCsvError(f"{path}: {err}") from err
     index = {name: i for i, name in enumerate(header)}  # a repeat keeps its last
     if column is None:
         column = next((c for c in _SCORE_COLUMNS if c in index), None)
@@ -428,6 +462,8 @@ def _cmd_synth(args) -> int:
         raise UsageError("--nodes and --edges must be positive")
     if args.anomalous < 0:
         raise UsageError("--anomalous must be nonnegative")
+    if args.anomaly_seed is not None and args.anomaly_seed < 0:
+        raise UsageError(f"--anomaly-seed must be nonnegative, got {args.anomaly_seed}")
     corpus = adnd.sample_edges(cfg.hyper(), cfg.trunc(), args.nodes, args.edges, cfg.seed)
     senders, receivers = _label_columns(corpus)
     if args.anomalous == 0:
@@ -514,7 +550,8 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as err:  # EdgeCsvError, ModelFormatError included
+    except (EdgeCsvError, adnd.ModelFormatError, OSError) as err:
+        # any other exception is a bug, and its traceback is shown
         print(f"error: {err}", file=sys.stderr)
         return 2
 

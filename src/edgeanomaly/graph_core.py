@@ -19,6 +19,7 @@ __all__ = [
     "corpus_from_pairs",
     "split_train_calib",
     "read_edge_records",
+    "read_text",
     "write_edge_csv",
     "write_rows",
     "quote_labels",
@@ -207,23 +208,43 @@ def read_edge_records(path):
     entry per row; labels is a bool array, or None for a `src,dst` file.
 
     The header row is required. Labels must be 0 or 1. Rows with missing or
-    empty fields, and any NUL character, are rejected with the offending
-    line number. Fields follow RFC 4180 quoting and are stripped of
-    whitespace; blank lines are skipped.
+    empty fields, any NUL character and any byte that is not UTF-8 are
+    rejected with the offending line number. Fields follow RFC 4180 quoting
+    and are stripped of whitespace; blank lines are skipped.
 
     The file is read once. A file with no quote and no whitespace but LF or
     CRLF line ends, whose header is exactly `src,dst` or `src,dst,label`, is
     split in bulk; every other file, malformed ones included, goes through
     csv.reader row by row, which gives the same result or error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     nul = text.find("\x00")
     if nul >= 0:
-        lineno = len(io.StringIO(text[: nul + 1], newline="").readlines())
-        raise EdgeCsvError(f"{path}:{lineno}: line contains NUL")
+        raise EdgeCsvError(f"{path}:{_line_after(text[:nul])}: line contains NUL")
     records = _bulk_records(text)
     return records if records is not None else _csv_records(path, text)
+
+
+def read_text(path) -> str:
+    """The file at path, decoded as UTF-8 with its line ends kept.
+
+    A byte that is not UTF-8 raises EdgeCsvError naming the file line it is
+    on, as csv.reader counts lines.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = _line_after(data[: err.start].decode("utf-8"))
+        raise EdgeCsvError(f"{path}:{line}: {err}") from err
+
+
+def _line_after(head: str) -> int:
+    """The file line of the character that follows head, counting a CR, an
+    LF and a CRLF each as one line end, as csv.reader does on a file opened
+    with newline=""."""
+    return head.count("\n") + head.count("\r") - head.count("\r\n") + 1
 
 
 def _bulk_records(text):

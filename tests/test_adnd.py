@@ -172,20 +172,75 @@ class TestInitState:
         assert np.all(state.lam <= upper)
         np.testing.assert_array_equal(state.corpus_stick_a, 1.0)
         np.testing.assert_array_equal(state.corpus_stick_b, HYPER.gamma)
-        np.testing.assert_array_equal(state.send_stick_b, HYPER.tau)
-        assert state.send_slot_resp.shape == (corpus.vocab.num_nodes + 1, SMALL_TRUNC.k_a)
+        np.testing.assert_array_equal(state.send.stick_b, HYPER.tau)
+        assert state.send.slot_resp.shape == (corpus.vocab.num_nodes + 1, SMALL_TRUNC.k_a)
 
     def test_deterministic(self):
         corpus = small_corpus()
         s1 = init_state(corpus, HYPER, SMALL_TRUNC, seed=5)
         s2 = init_state(corpus, HYPER, SMALL_TRUNC, seed=5)
         np.testing.assert_array_equal(s1.lam, s2.lam)
-        np.testing.assert_array_equal(s1.send_slot_resp, s2.send_slot_resp)
+        np.testing.assert_array_equal(s1.send.slot_resp, s2.send.slot_resp)
 
     def test_empty_corpus_raises(self):
         corpus = EdgeCorpus([], [], NodeVocab(["a"]))
         with pytest.raises(ValueError):
             init_state(corpus, HYPER, SMALL_TRUNC, seed=0)
+
+
+# (id, the block, the name validate gives it) for every block of a state
+_POSITIVE_BLOCKS = [
+    ("lam", lambda s: s.lam, "lam"),
+    ("corpus_stick_a", lambda s: s.corpus_stick_a, "corpus stick parameters"),
+    ("corpus_stick_b", lambda s: s.corpus_stick_b, "corpus stick parameters"),
+    ("send.stick_a", lambda s: s.send.stick_a, "send stick parameters"),
+    ("send.stick_b", lambda s: s.send.stick_b, "send stick parameters"),
+    ("recv.stick_a", lambda s: s.recv.stick_a, "recv stick parameters"),
+    ("recv.stick_b", lambda s: s.recv.stick_b, "recv stick parameters"),
+]
+_ROW_BLOCKS = [
+    ("send.topic_resp", lambda s: s.send.topic_resp, "send_topic_resp"),
+    ("recv.topic_resp", lambda s: s.recv.topic_resp, "recv_topic_resp"),
+    ("send.slot_resp", lambda s: s.send.slot_resp, "send_slot_resp"),
+    ("recv.slot_resp", lambda s: s.recv.slot_resp, "recv_slot_resp"),
+]
+
+
+def _block_cases(blocks):
+    return pytest.mark.parametrize(
+        "block,name", [case[1:] for case in blocks], ids=[case[0] for case in blocks])
+
+
+class TestValidate:
+    """validate names the one block that breaks its constraint."""
+
+    def _state(self):
+        state = init_state(small_corpus(), HYPER, SMALL_TRUNC, seed=0)
+        state.validate()
+        return state
+
+    @_block_cases(_POSITIVE_BLOCKS)
+    def test_negative_parameter_is_named(self, block, name):
+        state = self._state()
+        block(state).flat[0] = -0.5
+        with pytest.raises(ValueError, match=f"^{name} must stay positive$"):
+            state.validate()
+
+    @_block_cases(_ROW_BLOCKS)
+    def test_negative_row_entry_is_named(self, block, name):
+        state = self._state()
+        rows = block(state)
+        rows[0, 0] -= 1.0  # the row still sums to one
+        rows[0, 1] += 1.0
+        with pytest.raises(ValueError, match=f"^{name} has negative entries$"):
+            state.validate()
+
+    @_block_cases(_ROW_BLOCKS)
+    def test_row_off_the_simplex_is_named(self, block, name):
+        state = self._state()
+        block(state)[-1] *= 2.0
+        with pytest.raises(ValueError, match=f"^{name} rows must sum to one$"):
+            state.validate()
 
 
 class TestUpdates:
@@ -218,8 +273,8 @@ class TestUpdates:
     def test_corpus_update_with_zero_pointers_recovers_priors(self):
         corpus = small_corpus(seed=4)
         state = init_state(corpus, HYPER, SMALL_TRUNC, seed=0)
-        state.send_topic_resp = np.zeros_like(state.send_topic_resp)
-        state.recv_topic_resp = np.zeros_like(state.recv_topic_resp)
+        state.send.topic_resp = np.zeros_like(state.send.topic_resp)
+        state.recv.topic_resp = np.zeros_like(state.recv.topic_resp)
         update_corpus_level(state, corpus, HYPER)
         np.testing.assert_array_equal(state.corpus_stick_a, 1.0)
         np.testing.assert_array_equal(state.corpus_stick_b, HYPER.gamma)
@@ -235,10 +290,10 @@ class TestUpdates:
         one_hot_atom[:, 0] = 1.0
         pointer = np.zeros((2, 3))
         pointer[:, 1] = 1.0
-        state.send_slot_resp = one_hot_atom.copy()
-        state.recv_slot_resp = one_hot_atom.copy()
-        state.send_topic_resp = pointer.copy()
-        state.recv_topic_resp = pointer.copy()
+        state.send.slot_resp = one_hot_atom.copy()
+        state.recv.slot_resp = one_hot_atom.copy()
+        state.send.topic_resp = pointer.copy()
+        state.recv.topic_resp = pointer.copy()
         update_corpus_level(state, corpus, HYPER)
         expected = np.full((3, 3), HYPER.eta)
         expected[1, 0] += 1.0  # sender token
@@ -250,24 +305,29 @@ class TestUpdates:
         for seed in range(5):
             corpus = small_corpus(seed=seed, num_edges=60)
             state = init_state(corpus, HYPER, SMALL_TRUNC, seed=seed)
-            for resp_name in ("send_slot_resp", "recv_slot_resp",
-                              "send_topic_resp", "recv_topic_resp"):
-                rows = rng.uniform(size=getattr(state, resp_name).shape)
-                rows /= rows.sum(axis=1, keepdims=True)
-                setattr(state, resp_name, rows)
+            # drawn in this order: send slot, recv slot, send topic, recv topic
+            for side in (state.send, state.recv):
+                side.slot_resp = _random_rows(rng, side.slot_resp.shape)
+            for side in (state.send, state.recv):
+                side.topic_resp = _random_rows(rng, side.topic_resp.shape)
             update_corpus_level(state, corpus, HYPER)
             total = float(np.sum(state.lam - HYPER.eta))
             assert abs(total - 2.0 * corpus.n) <= 1e-9 * 2.0 * corpus.n
+
+
+def _random_rows(rng, shape):
+    rows = rng.uniform(size=shape)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
 def _slot_count(tokens, dim):
     return np.bincount(tokens, minlength=dim).astype(float)
 
 
-def _edge_rows(state, corpus, side):
+def _edge_rows(side, tokens):
     """One side's per-edge responsibilities, shape (n, k): each edge's slot row."""
-    tokens = corpus.senders if side == "send" else corpus.receivers
-    return np.take(getattr(state, f"{side}_slot_resp"), tokens, axis=0)
+    return np.take(side.slot_resp, tokens, axis=0)
 
 
 def _per_edge_statistics(slot_resp, tokens, dim):
@@ -421,16 +481,16 @@ def _assert_carrier_matches_slots(sweep, state, corpus):
     """Every value the carrier derives from the slot responsibilities and the
     per-side sticks equals the same value computed from the state."""
     dim = corpus.vocab.num_nodes + 1
-    for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers)):
-        counts, mass, entropy = oracles.slot_statistics(
-            _slot_count(tokens, dim), getattr(state, f"{side}_slot_resp"))
-        assert np.array_equal(getattr(sweep, f"{side}_counts"), counts)
-        assert getattr(sweep, f"{side}_entropy") == entropy
-        assert np.array_equal(getattr(sweep, f"{side}_mass"), mass)
-        shape_a, shape_b = getattr(state, f"{side}_stick_a"), getattr(state, f"{side}_stick_b")
+    for side, carried, tokens in ((state.send, sweep.send, corpus.senders),
+                                  (state.recv, sweep.recv, corpus.receivers)):
+        counts, mass, entropy = oracles.slot_statistics(_slot_count(tokens, dim), side.slot_resp)
+        assert np.array_equal(carried.slot_count, _slot_count(tokens, dim))
+        assert np.array_equal(carried.counts, counts)
+        assert carried.entropy == entropy
+        assert np.array_equal(carried.mass, mass)
         assert np.array_equal(
-            getattr(sweep, f"{side}_elog_sticks"), expected_log_sticks(shape_a, shape_b))
-        _assert_stick_digammas(getattr(sweep, f"{side}_stick_digammas"), shape_a, shape_b)
+            carried.elog_sticks, expected_log_sticks(side.stick_a, side.stick_b))
+        _assert_stick_digammas(carried.digammas, side.stick_a, side.stick_b)
 
 
 def _assert_carrier_matches_corpus_level(sweep, state, hyper):
@@ -458,10 +518,9 @@ def _spread_state(corpus, trunc, seed):
     state = init_state(corpus, HYPER, trunc, seed=seed)
     rng = np.random.default_rng(seed)
     state.lam = rng.lognormal(0.0, 3.0, size=state.lam.shape)
-    for side in ("send", "recv"):
-        size = getattr(state, f"{side}_stick_a").size
-        setattr(state, f"{side}_stick_a", rng.lognormal(0.0, 2.0, size=size))
-        setattr(state, f"{side}_stick_b", rng.lognormal(0.0, 2.0, size=size))
+    for side in (state.send, state.recv):
+        side.stick_a = rng.lognormal(0.0, 2.0, size=side.stick_a.size)
+        side.stick_b = rng.lognormal(0.0, 2.0, size=side.stick_b.size)
     return state
 
 
@@ -486,14 +545,11 @@ def _slot_cases(draw):
 def _oracle_edge_resp(state, corpus):
     """Both sides' per-edge responsibilities for a document update of state."""
     elog_topic = oracles.dirichlet_log_expectation(state.lam)
-    return {
-        side: oracles.edge_responsibilities(
-            getattr(state, f"{side}_topic_resp") @ elog_topic,
-            expected_log_sticks(getattr(state, f"{side}_stick_a"),
-                                getattr(state, f"{side}_stick_b")),
-            tokens)
-        for side, tokens in (("send", corpus.senders), ("recv", corpus.receivers))
-    }
+    return [
+        oracles.edge_responsibilities(
+            side.topic_resp @ elog_topic, expected_log_sticks(side.stick_a, side.stick_b), tokens)
+        for side, tokens in ((state.send, corpus.senders), (state.recv, corpus.receivers))
+    ]
 
 
 class TestSlotResponsibilities:
@@ -504,11 +560,12 @@ class TestSlotResponsibilities:
         want = _oracle_edge_resp(state, corpus)
         sweep = adnd._Sweep.start(state, corpus, HYPER)
         update_document_level(state, corpus, HYPER, sweep=sweep)
-        for side in ("send", "recv"):
-            assert getattr(state, f"{side}_slot_resp").flags.c_contiguous
-            got = _edge_rows(state, corpus, side)
-            assert got.shape == want[side].shape
-            assert np.array_equal(got, want[side])
+        for side, tokens, edge_resp in ((state.send, corpus.senders, want[0]),
+                                        (state.recv, corpus.receivers, want[1])):
+            assert side.slot_resp.flags.c_contiguous
+            got = _edge_rows(side, tokens)
+            assert got.shape == edge_resp.shape
+            assert np.array_equal(got, edge_resp)
         _assert_carrier_matches_slots(sweep, state, corpus)
 
     @settings(max_examples=300, deadline=None)
@@ -550,7 +607,7 @@ class TestElbo:
     def test_dirichlet_log_expectation_identity(self):
         alpha = np.array([[1.0, 2.0, 3.0], [0.4, 0.4, 0.4]])
         expected = digamma(alpha) - digamma(alpha.sum(axis=1))[:, None]
-        sweep = adnd._Sweep(np.zeros(3), np.zeros(3), 0.0)
+        sweep = adnd._Sweep(adnd._SideSweep(np.zeros(3)), adnd._SideSweep(np.zeros(3)), 0.0)
         sweep.set_topics(alpha)
         np.testing.assert_allclose(sweep.elog_topic, expected)
         np.testing.assert_allclose(oracles.dirichlet_log_expectation(alpha), expected)
@@ -916,6 +973,13 @@ class TestSerialization:
         path = tmp_path / "bad.adnd"
         path.write_text("ADND1\n{not json\n")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("old,new", [(b"ADND2", b"ADND\xff"), (b'["', b'["\xff')])
+    def test_non_utf8_file_rejected_naming_it(self, tmp_path, old, new):
+        path = self._saved_payload(tmp_path)[0]
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        with pytest.raises(ModelFormatError, match=r"model.adnd: not UTF-8 text: 'utf-8' codec"):
             load_model(path)
 
     def test_scores_survive_round_trip(self, tmp_path):

@@ -370,13 +370,14 @@ class TestExitCodes:
         assert rc == 1
         assert "epsilon" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-5"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-5", "-1E+2", "-NaN"])
     def test_rel_tol_must_be_positive_and_finite(self, pipeline, tmp_path, capsys, value):
         model = str(tmp_path / "m.adnd")
-        rc = main(["fit", "--train", pipeline["train"], "--model", model,
-                   f"--rel-tol={value}"] + SHAPE)
-        assert rc == 1
-        assert "rel_tol must be positive and finite" in capsys.readouterr().err
+        # as a separate argument, a value that starts with "-" must not read as a flag
+        for flag in ([f"--rel-tol={value}"], ["--rel-tol", value]):
+            rc = main(["fit", "--train", pipeline["train"], "--model", model, *flag] + SHAPE)
+            assert rc == 1
+            assert "rel_tol must be positive and finite" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"rel_tol = {value}\n")
         rc = main(["fit", "--train", pipeline["train"], "--model", model,
@@ -384,6 +385,28 @@ class TestExitCodes:
         assert rc == 1
         assert "rel_tol must be positive and finite" in capsys.readouterr().err
         assert not Path(model).exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "--nodes", "5", "--edges", "5", "--seed", "-1"],
+         "seed must be nonnegative, got -1"),
+        (["synth", "--nodes", "5", "--edges", "5", "--anomalous", "2", "--anomaly-seed", "-3"],
+         "--anomaly-seed must be nonnegative, got -3"),
+        (["fpr-sim", "--seed", "-2"], "seed must be nonnegative, got -2"),
+    ], ids=["synth-seed", "synth-anomaly-seed", "fpr-sim-seed"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "out.csv"
+        assert main(["synth", "--nodes", "5", "--edges", "5", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         rc = main(["fit", "--train", str(tmp_path / "absent.csv"),
@@ -404,6 +427,78 @@ class TestExitCodes:
         rc = main(["fit", "--train", str(bad), "--model", str(tmp_path / "m.adnd")])
         assert rc == 2
         assert "nul.csv:3: line contains NUL" in capsys.readouterr().err
+
+    def test_non_utf8_train_file_is_data_error_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"src,dst\na,b\nc,caf\xe9\n")
+        rc = main(["fit", "--train", str(bad), "--model", str(tmp_path / "m.adnd")])
+        assert rc == 2
+        assert "latin1.csv:3: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+    def test_non_utf8_score_file_is_data_error_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"src,dst,score,label\na,b,0.5,1\n\nc,caf\xe9,0.25,0\n")
+        rc = main(["eval", "--scores", str(bad), "--out-prefix", str(tmp_path / "m")])
+        assert rc == 2
+        assert "latin1.csv:4: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+    def test_non_utf8_model_file_is_data_error_naming_it(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.adnd"
+        bad.write_bytes(Path(pipeline["model"]).read_bytes().replace(b'["', b'["\xff', 1))
+        rc = main(["score", "--model", str(bad), "--edges", pipeline["test"],
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert "bad.adnd: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in (
+            capsys.readouterr().err)
+
+    def test_fit_on_header_only_train_file_is_data_error(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("src,dst\n")
+        model = tmp_path / "m.adnd"
+        assert main(["fit", "--train", str(train), "--model", str(model)]) == 2
+        assert "train.csv: no edges; cannot initialize from an empty corpus" in (
+            capsys.readouterr().err)
+        assert not model.exists()
+
+    def test_detect_on_header_only_calibration_file_is_data_error(self, pipeline, tmp_path,
+                                                                  capsys):
+        calib = tmp_path / "calib.csv"
+        calib.write_text("src,dst\n")
+        out = tmp_path / "v.csv"
+        rc = main(["detect", "--model", pipeline["model"], "--calib", str(calib),
+                   "--test", pipeline["test"], "--out", str(out)])
+        assert rc == 2
+        assert "calib.csv: no edges; calibration set must not be empty" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("use_labels_file", [False, True])
+    @pytest.mark.parametrize("label", ["0", "1"])
+    def test_eval_labels_of_one_class_is_data_error(self, tmp_path, capsys, label,
+                                                     use_labels_file):
+        scores = tmp_path / "scores.csv"
+        labels = tmp_path / "labels.csv"
+        if use_labels_file:
+            scores.write_text("score\n0.5\n0.25\n")
+            labels.write_text(f"src,dst,label\na,b,{label}\nc,d,{label}\n")
+            argv, named = ["--labels", str(labels)], "labels.csv"
+        else:
+            scores.write_text(f"src,dst,score,label\na,b,0.5,{label}\nc,d,0.25,{label}\n")
+            argv, named = [], "scores.csv"
+        rc = main(["eval", "--scores", str(scores), "--out-prefix", str(tmp_path / "m")] + argv)
+        assert rc == 2
+        assert f"{named}: labels must hold both 0 and 1, got " in capsys.readouterr().err
+        assert not (tmp_path / "m_auc.txt").exists()
+
+    def test_a_value_error_from_a_step_propagates(self, pipeline, tmp_path, monkeypatch):
+        # only data errors exit 2; any other exception is a bug and shows its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("a bug in a step")
+
+        monkeypatch.setattr(cli.conformal, "calibration_scores", broken)
+        with pytest.raises(ValueError, match="a bug in a step"):
+            main(["detect", "--model", pipeline["model"], "--calib", pipeline["calib"],
+                  "--test", pipeline["test"], "--out", str(tmp_path / "v.csv")])
 
     def test_csv_error_in_scores_is_data_error(self, pipeline, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -596,7 +691,24 @@ def scratch_scores(tmp_path_factory):
     return tmp_path_factory.mktemp("scores") / "scores.csv"
 
 
+# (bytes, file line of the first byte that is not UTF-8); the reader's
+# decoder reads ahead of the rows, 8 KiB at a time
+_NON_UTF8_SCORE_FILES = [
+    (b"src,dst,score\na,b,0.5\n\xe9,d,0.25\n", 3),
+    (b"score\r0.5\r\r0.25\xff\r", 4),
+    (b'src,dst,score\n"a\r\nb",c,0.5\nd,e\xe9,1\n', 4),
+    (b"score\n" + b"0.5\n" * 5000 + b"\xc3", 5002),
+]
+
+
 class TestScoreFileReader:
+    @pytest.mark.parametrize("data,line", _NON_UTF8_SCORE_FILES)
+    def test_non_utf8_byte_rejected_with_its_line(self, tmp_path, data, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(EdgeCsvError, match=rf"latin1.csv:{line}: 'utf-8' codec can't decode"):
+            cli._read_score_file(path)
+
     @settings(max_examples=500, deadline=None)
     @given(file=_score_files())
     def test_same_result_or_error_line_as_dict_reader(self, scratch_scores, file):

@@ -399,12 +399,15 @@ class TestFprTrialWorkers:
         assert used == expected
         assert multiprocessing.active_children() == []
 
-    def test_cli_exits_2_on_trial_error(self, failing_trial, tmp_path, capsys):
+    def test_cli_raises_a_trial_error(self, failing_trial, tmp_path, capsys):
+        # fpr-sim makes its own data, so a trial's error is a bug: main lets
+        # it through with its traceback instead of exiting 2
         argv = ["fpr-sim", "--nodes", "8", "--n-train", "30", "--n-calib", "30",
                 "--n-test", "20", "--trials", "3", "--kh", "8", "--ka", "4", "--kb", "4",
                 "--max-sweeps", "20", "--out", str(tmp_path / "fpr.csv")]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == "error: trial 1 failed to fit\n"
+        with pytest.raises(ValueError, match="^trial 1 failed to fit$"):
+            main(argv)
+        assert capsys.readouterr().err == ""
         used, expected = failing_trial
         assert used == expected
         assert multiprocessing.active_children() == []

@@ -386,6 +386,20 @@ def scratch_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("ingest") / "edges.csv"
 
 
+# (bytes, file line of the first byte that is not UTF-8), as csv.reader counts
+# lines: a CR, an LF and a CRLF each end one
+NON_UTF8_FILES = [
+    (b"src,dst\na,b\nc\xe9,d\n", 3),
+    (b"src,dst\r\na,b\r\n\xff\r\n", 3),
+    (b"src,dst\ra,b\rc,\xe9d\r", 3),
+    (b'src,dst\n"a\nb",c\nd,\xe9e\n', 4),
+    (b"src,dst\n\xc3\xa9,b\nc,\xff\n", 3),  # a valid two-byte character first
+    (b"src,dst\na,\xc3", 2),  # cut off inside a character
+    (b"\xffsrc,dst\n", 1),
+    (b"src,dst\n" + b"a,b\n" * 5000 + b"c,\xe9\n", 5002),  # past the first 8 KiB
+]
+
+
 class TestIngestOracle:
     @settings(max_examples=600, deadline=None)
     @given(text=_csv_texts())
@@ -439,6 +453,13 @@ class TestIngestOracle:
         path = tmp_path / "nul.csv"
         path.write_text(text, encoding="utf-8", newline="")
         with pytest.raises(EdgeCsvError, match=rf"nul.csv:{line}: line contains NUL"):
+            read_edge_records(path)
+
+    @pytest.mark.parametrize("data,line", NON_UTF8_FILES)
+    def test_non_utf8_byte_rejected_with_its_line(self, tmp_path, data, line):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(EdgeCsvError, match=rf"latin1.csv:{line}: 'utf-8' codec can't decode"):
             read_edge_records(path)
 
     @pytest.mark.parametrize("text", [
