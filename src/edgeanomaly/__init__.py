@@ -17,7 +17,6 @@ from .adnd import (
     TruncationLevels,
     VariationalState,
     compute_elbo,
-    expected_log_sticks,
     fit,
     fit_state,
     init_state,
@@ -30,12 +29,12 @@ from .adnd import (
     update_document_level,
 )
 from .conformal import (
-    CalibrationScores,
     Verdicts,
     calibration_scores,
     detect_corpus,
     full_conformal_p_values,
     nonconformity_score,
+    score_edges,
 )
 from .evaluation import (
     FprPoint,

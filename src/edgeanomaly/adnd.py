@@ -20,6 +20,7 @@ import base64
 import binascii
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -41,8 +42,6 @@ __all__ = [
     "FittedModel",
     "SamplerParams",
     "stick_weights",
-    "expected_log_sticks",
-    "stick_posterior",
     "init_state",
     "update_document_level",
     "update_corpus_level",
@@ -71,8 +70,8 @@ class ModelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Positive concentrations: eta for topics over nodes, gamma for the
-    corpus-level sticks, tau for the per-side sticks."""
+    """Positive finite real concentrations, not bools: eta for topics over
+    nodes, gamma for the corpus-level sticks, tau for the per-side sticks."""
 
     eta: float = 1.0
     gamma: float = 1.0
@@ -81,20 +80,27 @@ class HyperParams:
     def __post_init__(self):
         for name in ("eta", "gamma", "tau"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (value > 0.0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
 class TruncationLevels:
-    """Truncation sizes: k_h shared topics, k_a sender atoms, k_b receiver
-    atoms. The shared pool must be at least as large as either side."""
+    """Integer truncation sizes, not bools or floats: k_h shared topics, k_a
+    sender atoms, k_b receiver atoms. The shared pool must be at least as
+    large as either side."""
 
     k_h: int = 50
     k_a: int = 15
     k_b: int = 15
 
     def __post_init__(self):
+        for name in ("k_h", "k_a", "k_b"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_h < 2:
             raise ValueError("k_h must be at least 2")
         if self.k_a < 1 or self.k_b < 1:
@@ -119,24 +125,6 @@ def stick_weights(stick_fractions) -> np.ndarray:
     return fractions * remaining
 
 
-def expected_log_sticks(shape_a, shape_b) -> np.ndarray:
-    """Posterior expectations of log stick weights under independent Beta
-    stick fractions.
-
-    shape_a and shape_b hold the K-1 Beta parameters; the result has length
-    K, where the final entry covers the leftover stick. Every entry is the
-    digamma identity E[log x] = psi(a) - psi(a+b) accumulated along the
-    breaks, hence nonpositive.
-    """
-    a = np.asarray(shape_a, dtype=float)
-    b = np.asarray(shape_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("stick parameters must be equal-length vectors")
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise ValueError("stick parameters must be positive")
-    return _expected_log_sticks(a, b)[0]
-
-
 class _StickDigammas(NamedTuple):
     """psi(a), psi(b) and psi(a+b) of Beta stick shapes a and b, and
     psi(b) - psi(a+b), each break's expected log leftover."""
@@ -148,11 +136,14 @@ class _StickDigammas(NamedTuple):
 
 
 def _expected_log_sticks(a: np.ndarray, b: np.ndarray):
-    """expected_log_sticks of float shape vectors it does not check, and the
-    digamma values it is built from, as (expectations, _StickDigammas).
+    """Posterior expectations of log stick weights under independent Beta
+    stick fractions, and the digamma values they are built from, as
+    (expectations, _StickDigammas).
 
-    The fit calls this on shapes it produced itself; the Beta entropy and
-    the stick prior term of the bound reuse the digamma values.
+    a and b hold the K-1 Beta shapes, which the fit produced itself and this
+    does not check; the final of the K expectations covers the leftover
+    stick. The Beta entropy and the stick prior term of the bound reuse the
+    digamma values.
     """
     digamma_a = scipy.special.digamma(a)
     digamma_b = scipy.special.digamma(b)
@@ -164,19 +155,13 @@ def _expected_log_sticks(a: np.ndarray, b: np.ndarray):
     return out, _StickDigammas(digamma_a, digamma_b, both, log_leftover)
 
 
-def stick_posterior(responsibilities, concentration: float):
-    """Exact Beta block update for stick fractions given responsibilities.
-
-    Column t of the (n, K) responsibility matrix contributes its sum to the
-    first shape and everything assigned past t to the second. Returns the
-    (K-1,) shape vectors.
-    """
-    resp = np.asarray(responsibilities, dtype=float)
-    return _stick_shapes(resp.sum(axis=0), concentration)
-
-
 def _stick_shapes(column_mass: np.ndarray, concentration: float):
-    """stick_posterior's shapes from the responsibility matrix's column sums."""
+    """Exact Beta block update for stick fractions, from the column sums of
+    an (n, K) responsibility matrix.
+
+    Column t contributes its sum to the first shape and everything assigned
+    past t to the second. Returns the (K-1,) shape vectors.
+    """
     tail_mass = column_mass[::-1].cumsum()[::-1]
     shape_a = 1.0 + column_mass[:-1]
     shape_b = concentration + tail_mass[1:]
@@ -530,7 +515,7 @@ def update_corpus_level(
     """
     sweep = sweep if sweep is not None else _Sweep.start(state, corpus, hyper)
     stacked = np.vstack([state.send.topic_resp, state.recv.topic_resp])
-    state.corpus_stick_a, state.corpus_stick_b = stick_posterior(stacked, hyper.gamma)
+    state.corpus_stick_a, state.corpus_stick_b = _stick_shapes(stacked.sum(axis=0), hyper.gamma)
     sweep.set_corpus_sticks(state.corpus_stick_a, state.corpus_stick_b)
 
     state.lam = (

@@ -200,7 +200,8 @@ def build_parser() -> _Parser:
     p_eval.add_argument(
         "--invert",
         action="store_true",
-        help="negate scores first (for columns where higher means more anomalous)",
+        help="rank larger scores as more anomalous; the alpha column always "
+             "ranks so, and p_value, rhss_score and score rank smaller first",
     )
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -274,9 +275,9 @@ def _cmd_score(args) -> int:
     model = adnd.load_model(args.model)
     senders, receivers, _ = read_edge_records(args.edges)
     corpus = corpus_from_pairs(senders, receivers, model.vocab)
-    scores = [conformal.nonconformity_score(model, edge) for edge in corpus]
+    scores = conformal.score_edges(model, corpus.senders, corpus.receivers)
     write_rows(args.out, "src,dst,alpha\n", _SCORE_ROW,
-               quote_labels(senders), quote_labels(receivers), scores)
+               quote_labels(senders), quote_labels(receivers), scores.tolist())
     print(f"score: wrote {len(scores)} rows to {args.out}")
     return 0
 
@@ -316,12 +317,16 @@ def _cmd_rhss(args) -> int:
     return 0
 
 
-_SCORE_COLUMNS = ("p_value", "rhss_score", "alpha", "score")
+# The score columns eval picks from, in order, each with whether a larger
+# value means more anomalous: alpha is a nonconformity score, the others
+# rank their most anomalous rows lowest.
+_SCORE_COLUMNS = {"p_value": False, "rhss_score": False, "alpha": True, "score": False}
 
 
 def _cmd_eval(args) -> int:
-    scores, labels = _read_score_file(args.scores, args.score_column, args.labels)
-    if args.invert:
+    scores, labels, column = _read_score_file(args.scores, args.score_column, args.labels)
+    # eval ranks smaller scores as more anomalous; negate at most once
+    if args.invert or _SCORE_COLUMNS.get(column, False):
         scores = -scores
     if labels is None:
         raise UsageError("eval needs labels: a label column in --scores or --labels")
@@ -360,7 +365,8 @@ def _cmd_eval(args) -> int:
 
 
 def _read_score_file(path, column=None, labels_path=None):
-    """The score column of a CSV file, and its labels, or None without any.
+    """The score column of a CSV file, its labels, or None without any, and
+    the column's name.
 
     With `column` None, the first of _SCORE_COLUMNS in the header is read.
     Blank rows are skipped, and a name that repeats in the header reads its
@@ -396,7 +402,7 @@ def _read_score_file(path, column=None, labels_path=None):
         column = next((c for c in _SCORE_COLUMNS if c in index), None)
         if column is None:
             raise EdgeCsvError(
-                f"{path}: no score column among {_SCORE_COLUMNS}; use --score-column"
+                f"{path}: no score column among {tuple(_SCORE_COLUMNS)}; use --score-column"
             )
     elif column not in index:
         raise EdgeCsvError(f"{path}: no column named {column!r}")
@@ -425,9 +431,9 @@ def _read_score_file(path, column=None, labels_path=None):
             edges = [[row[at].strip() if at < len(row) else "" for row in rows]
                      for at in (index["src"], index["dst"])]
         del rows  # freed before the labels file is read, as with no --labels
-        return scores, _edge_labels(labels_path, path, edges, lines)
+        return scores, _edge_labels(labels_path, path, edges, lines), column
     if "label" not in index:
-        return scores, None
+        return scores, None, column
     at = index["label"]
     labels = []
     for row, line in zip(rows, lines):
@@ -435,7 +441,7 @@ def _read_score_file(path, column=None, labels_path=None):
         if value not in ("0", "1"):
             raise EdgeCsvError(f"{path}:{line}: label must be 0 or 1, got {value!r}")
         labels.append(value == "1")
-    return scores, np.array(labels, dtype=bool)
+    return scores, np.array(labels, dtype=bool), column
 
 
 def _edge_labels(labels_path, path, edges, lines) -> np.ndarray:

@@ -24,9 +24,9 @@ from .graph_core import Edge, EdgeCorpus
 
 __all__ = [
     "ORIENTATIONS",
-    "CalibrationScores",
     "Verdicts",
     "nonconformity_score",
+    "score_edges",
     "calibration_scores",
     "conformal_p_values",
     "full_conformal_p_values",
@@ -39,26 +39,6 @@ ORIENTATIONS = ("power-corrected", "paper")
 def _check_orientation(orientation: str) -> None:
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-
-
-@dataclass(frozen=True)
-class CalibrationScores:
-    """Held-out nonconformity scores, all finite."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.array(self.scores, dtype=float)
-        if scores.ndim != 1:
-            raise ValueError("calibration scores must form a vector")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("calibration scores must be finite")
-        scores.flags.writeable = False
-        object.__setattr__(self, "scores", scores)
-
-    @property
-    def size(self) -> int:
-        return int(self.scores.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +78,33 @@ def nonconformity_score(model: FittedModel, edge: Edge) -> float:
     return -predictive_log_likelihood(model, edge)
 
 
-def calibration_scores(model: FittedModel, corpus: EdgeCorpus) -> CalibrationScores:
-    """Score every calibration edge through the one scalar scoring path."""
-    return CalibrationScores(
-        np.array([nonconformity_score(model, edge) for edge in corpus])
-    )
+def score_edges(model: FittedModel, senders, receivers) -> np.ndarray:
+    """Nonconformity score of each edge senders[i] -> receivers[i], in
+    order, as a read-only float64 vector.
+
+    The columns must be equal-length vectors of node indices, and an
+    endpoint outside 0..W raises ValueError. Each edge is one call of this
+    module's nonconformity_score, so the scores are its bits.
+    """
+    senders, receivers = np.asarray(senders), np.asarray(receivers)
+    if senders.ndim != 1 or senders.shape != receivers.shape:
+        raise ValueError("senders and receivers must be equal-length vectors")
+    edges = map(Edge, senders.tolist(), receivers.tolist())
+    scores = np.array([nonconformity_score(model, edge) for edge in edges], dtype=float)
+    scores.flags.writeable = False
+    return scores
+
+
+def calibration_scores(model: FittedModel, corpus: EdgeCorpus) -> np.ndarray:
+    """The scores of every calibration edge, in corpus order."""
+    return score_edges(model, corpus.senders, corpus.receivers)
 
 
 def _calibration_array(calib) -> np.ndarray:
-    scores = np.asarray(getattr(calib, "scores", calib), dtype=float)
+    """The calibration scores as an array: a nonempty vector of finite values."""
+    scores = np.asarray(calib, dtype=float)
+    if scores.ndim != 1:
+        raise ValueError("calibration scores must form a vector")
     if scores.size == 0:
         raise ValueError("calibration set must not be empty")
     if not np.all(np.isfinite(scores)):
@@ -206,7 +204,7 @@ def detect_corpus(
 ) -> Verdicts:
     """Detect over a whole corpus with one smoothing draw per edge, in
     corpus order."""
-    scores = np.array([nonconformity_score(model, edge) for edge in corpus])
+    scores = score_edges(model, corpus.senders, corpus.receivers)
     u_draws = _positive_uniform(np.random.default_rng(seed), size=scores.size)
     p_values = conformal_p_values(scores, calib, u_draws, orientation)
     return Verdicts(scores, p_values, u_draws, epsilon)

@@ -272,6 +272,8 @@ def _fpr_trial(hyper, trunc, num_nodes, n_train, n_calib, n_test, epsilons,
         train, hyper, trunc, max_sweeps=max_sweeps, rel_tol=rel_tol, seed=fit_seed
     )
     calib_set = calibration_scores(model, calib)
+    # Edge by edge through this module's name, not score_edges: _TRIAL_STEPS
+    # holds it, so a replacement here (a tracer, a test) sees every test edge.
     test_scores = np.array([nonconformity_score(model, edge) for edge in test])
     u_draws = _positive_uniform(np.random.default_rng(u_seed), size=test_scores.size)
     p_values = conformal_p_values(test_scores, calib_set, u_draws, orientation)

@@ -6,8 +6,8 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,16 +89,15 @@ class NodeVocab:
         return f"NodeVocab({self.num_nodes} labels)"
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One directed edge, already interned to (sender, receiver) indices."""
+class Edge(NamedTuple):
+    """One directed edge, already interned to (sender, receiver) indices.
+
+    An Edge checks nothing: EdgeCorpus checks its arrays once, and each
+    scorer checks the endpoints of every edge it is given.
+    """
 
     sender: int
     receiver: int
-
-    def __post_init__(self):
-        if self.sender < 0 or self.receiver < 0:
-            raise ValueError("edge endpoints must be nonnegative indices")
 
 
 class EdgeCorpus:

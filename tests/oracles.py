@@ -42,7 +42,7 @@ def conformal_p_value(score, calib, u, orientation="power-corrected"):
     (strict + u * ties) / (n + 1), the arithmetic conformal_p_values must
     reproduce bit for bit. Inputs are not validated.
     """
-    scores = [float(s) for s in np.ravel(getattr(calib, "scores", calib))]
+    scores = [float(s) for s in np.ravel(calib)]
     above = sum(1 for s in scores if s > score)
     below = sum(1 for s in scores if s < score)
     ties = 1 + sum(1 for s in scores if s == score)
@@ -98,6 +98,45 @@ def dirichlet_log_expectation(alpha):
     digamma of each entry minus digamma of its row's sum."""
     alpha = np.asarray(alpha, dtype=float)
     return digamma(alpha) - digamma(alpha.sum(axis=-1, keepdims=True))
+
+
+def expected_log_sticks(shape_a, shape_b):
+    """E[log weight] of each of K sticks under independent Beta(a, b) stick
+    fractions, from the K-1 shapes, one break at a time.
+
+    Entry k is psi(a_k) - psi(a_k + b_k) plus the expected log leftovers
+    psi(b_j) - psi(a_j + b_j) of the breaks before it, added in break order;
+    the last entry is the leftover of every break. Inputs are not validated.
+    """
+    out, leftover = [], 0.0
+    for a, b in zip(np.asarray(shape_a, dtype=float).tolist(),
+                    np.asarray(shape_b, dtype=float).tolist()):
+        both = digamma(a + b)
+        out.append(float(digamma(a) - both) + leftover)
+        leftover += float(digamma(b) - both)
+    return np.array(out + [leftover])
+
+
+def stick_posterior(responsibilities, concentration):
+    """Exact Beta block update for stick fractions given an (n, K)
+    responsibility matrix, as the (K-1,) shape vectors (a, b).
+
+    a_t is 1 plus column t's sum and b_t the concentration plus the sum of
+    every column past t. Each column sum adds the rows in order, and the
+    tail sums add the columns from the last one back.
+    """
+    rows = np.asarray(responsibilities, dtype=float).tolist()
+    k = np.shape(responsibilities)[1]
+    mass = [0.0] * k
+    for row in rows:
+        for t in range(k):
+            mass[t] += row[t]
+    tails, tail = [0.0] * k, 0.0
+    for t in reversed(range(k)):
+        tail += mass[t]
+        tails[t] = tail
+    return (np.array([1.0 + m for m in mass[:-1]]),
+            np.array([concentration + x for x in tails[1:]]))
 
 
 def token_counts(edge_resp, tokens, dim):

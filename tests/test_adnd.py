@@ -20,7 +20,6 @@ from edgeanomaly.adnd import (
     ModelFormatError,
     TruncationLevels,
     compute_elbo,
-    expected_log_sticks,
     fit,
     fit_state,
     init_state,
@@ -28,7 +27,6 @@ from edgeanomaly.adnd import (
     predictive_log_likelihood,
     sample_edges,
     save_model,
-    stick_posterior,
     stick_weights,
     update_corpus_level,
     update_document_level,
@@ -70,6 +68,23 @@ class TestHyperAndTrunc:
         with pytest.raises(ValueError):
             TruncationLevels(**bad)
 
+    # Each of these constructed before, and a model file holding one loaded
+    # and saved back unchanged.
+    @pytest.mark.parametrize(
+        "bad", [{"k_a": 1.5}, {"k_h": 10.0}, {"k_b": True}, {"k_a": "3"}])
+    def test_rejects_truncations_that_are_not_integers(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncationLevels(**{"k_h": 4, "k_a": 1, "k_b": 2, **bad})
+
+    @pytest.mark.parametrize("bad", [{"eta": True}, {"gamma": "1.0"}, {"tau": 1j}])
+    def test_rejects_concentrations_that_are_not_real(self, bad):
+        with pytest.raises(ValueError, match="must be a real number"):
+            HyperParams(**bad)
+
+    def test_accepts_numpy_numbers(self):
+        assert TruncationLevels(k_h=np.int64(4), k_a=np.int32(2), k_b=2).k_h == 4
+        assert HyperParams(eta=np.float64(0.5), gamma=2, tau=np.float32(1.5)).gamma == 2
+
 
 class TestStickWeights:
     def test_halving_fractions(self):
@@ -99,6 +114,26 @@ class TestStickWeights:
             stick_weights(bad)
 
 
+def expected_log_sticks(shape_a, shape_b):
+    """The fit's expected log stick weights of two shape vectors, checked
+    bit for bit against the break-by-break oracle."""
+    a, b = np.asarray(shape_a, dtype=float), np.asarray(shape_b, dtype=float)
+    out = adnd._expected_log_sticks(a, b)[0]
+    assert np.array_equal(out, oracles.expected_log_sticks(a, b))
+    return out
+
+
+def stick_posterior(responsibilities, concentration):
+    """The fit's stick shapes from a responsibility matrix, as
+    update_corpus_level computes them, checked bit for bit against the
+    entry-by-entry oracle."""
+    resp = np.asarray(responsibilities, dtype=float)
+    a, b = adnd._stick_shapes(resp.sum(axis=0), concentration)
+    want_a, want_b = oracles.stick_posterior(resp, concentration)
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    return a, b
+
+
 class TestExpectedLogSticks:
     def test_unit_beta_parameters(self):
         np.testing.assert_allclose(expected_log_sticks([1.0], [1.0]), [-1.0, -1.0])
@@ -125,17 +160,6 @@ class TestExpectedLogSticks:
         out = expected_log_sticks([1e8], [1e-3])
         assert -1e-9 < out[0] <= 0.0
 
-    def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            expected_log_sticks([1.0, 0.0], [1.0, 1.0])
-        # the fit's carrier skips these checks; the public function keeps them
-        with pytest.raises(ValueError, match="positive"):
-            expected_log_sticks([1.0, 2.0], [1.0, -0.5])
-
-    def test_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            expected_log_sticks([1.0, 2.0], [1.0])
-
     def test_empty_parameters_give_single_full_stick(self):
         np.testing.assert_array_equal(
             expected_log_sticks(np.empty(0), np.empty(0)), [0.0]
@@ -160,6 +184,17 @@ class TestStickPosterior:
         a, b = stick_posterior(resp, 1.0)
         np.testing.assert_allclose(a, [1.3, 1.9])
         np.testing.assert_allclose(b, [1.0 + 0.9 + 0.8, 1.0 + 0.8])
+
+    def test_corpus_update_sticks_match_oracle(self):
+        corpus = small_corpus(seed=6)
+        state = _spread_state(corpus, SMALL_TRUNC, seed=6)
+        hyper = HyperParams(gamma=1.7)
+        update_document_level(state, corpus, hyper)
+        stacked = np.vstack([state.send.topic_resp, state.recv.topic_resp])
+        update_corpus_level(state, corpus, hyper)
+        a, b = oracles.stick_posterior(stacked, hyper.gamma)
+        assert np.array_equal(state.corpus_stick_a, a)
+        assert np.array_equal(state.corpus_stick_b, b)
 
 
 class TestInitState:
@@ -489,7 +524,7 @@ def _assert_carrier_matches_slots(sweep, state, corpus):
         assert carried.entropy == entropy
         assert np.array_equal(carried.mass, mass)
         assert np.array_equal(
-            carried.elog_sticks, expected_log_sticks(side.stick_a, side.stick_b))
+            carried.elog_sticks, oracles.expected_log_sticks(side.stick_a, side.stick_b))
         _assert_stick_digammas(carried.digammas, side.stick_a, side.stick_b)
 
 
@@ -500,7 +535,8 @@ def _assert_carrier_matches_corpus_level(sweep, state, hyper):
     assert np.array_equal(sweep.digamma_lam, digamma(state.lam))
     assert np.array_equal(sweep.elog_topic, oracles.dirichlet_log_expectation(state.lam))
     assert np.array_equal(
-        sweep.elog_corpus, expected_log_sticks(state.corpus_stick_a, state.corpus_stick_b))
+        sweep.elog_corpus,
+        oracles.expected_log_sticks(state.corpus_stick_a, state.corpus_stick_b))
     _assert_stick_digammas(sweep.corpus_stick_digammas, state.corpus_stick_a, state.corpus_stick_b)
     assert sweep.topic_prior_norm == k_h * (gammaln(dim * hyper.eta) - dim * gammaln(hyper.eta))
 
@@ -547,7 +583,8 @@ def _oracle_edge_resp(state, corpus):
     elog_topic = oracles.dirichlet_log_expectation(state.lam)
     return [
         oracles.edge_responsibilities(
-            side.topic_resp @ elog_topic, expected_log_sticks(side.stick_a, side.stick_b), tokens)
+            side.topic_resp @ elog_topic, oracles.expected_log_sticks(side.stick_a, side.stick_b),
+            tokens)
         for side, tokens in ((state.send, corpus.senders), (state.recv, corpus.receivers))
     ]
 
@@ -1069,6 +1106,24 @@ class TestSerialization:
         diag[field] = value
         self._rewrite(path, magic, payload)
         with pytest.raises(ModelFormatError, match=f"diagnostics {field}"):
+            load_model(path)
+
+    # Each of these loaded before, and save_model wrote it back unchanged.
+    @pytest.mark.parametrize(
+        "block,field,value,message",
+        [
+            ("trunc", "k_b", 2.5, "k_b must be an integer"),
+            ("trunc", "k_a", True, "k_a must be an integer"),
+            ("trunc", "k_h", float(SMALL_TRUNC.k_h), "k_h must be an integer"),
+            ("hyper", "eta", True, "eta must be a real number"),
+        ],
+    )
+    def test_model_file_of_wrong_number_type_rejected(self, tmp_path, block, field, value,
+                                                      message):
+        path, magic, payload = self._saved_payload(tmp_path)
+        payload[block][field] = value
+        self._rewrite(path, magic, payload)
+        with pytest.raises(ModelFormatError, match=rf"model.adnd: malformed model body: {message}"):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -145,6 +145,29 @@ class TestPipeline:
         auc_neg = (pipeline["root"] / "by_negated_auc.txt").read_bytes()
         assert auc_inv == auc_neg
 
+    # alpha is a nonconformity score: larger means more anomalous. eval
+    # ranked it backwards, and --invert was needed to rank it right.
+    def test_eval_ranks_alpha_larger_as_more_anomalous(self, pipeline):
+        alphas = str(pipeline["root"] / "eval_alpha_direction.csv")
+        assert main(["score", "--model", pipeline["model"],
+                     "--edges", pipeline["test"], "--out", alphas]) == 0
+        auc = {}
+        for name, extra in (("plain", []), ("inverted", ["--invert"])):
+            prefix = str(pipeline["root"] / f"alpha_{name}")
+            assert main(["eval", "--scores", alphas, "--labels", pipeline["test"],
+                         "--out-prefix", prefix] + extra) == 0
+            auc[name] = (pipeline["root"] / f"alpha_{name}_auc.txt").read_bytes()
+        assert auc["plain"] == auc["inverted"]
+
+    def test_eval_alpha_column_golden_auc(self, tmp_path):
+        # the two anomalies hold the two largest alphas
+        scores = tmp_path / "alphas.csv"
+        scores.write_text("src,dst,alpha,label\n"
+                          "a,b,3.5,0\nb,c,9.0,1\nc,d,1.2,0\nd,e,7.5,1\ne,f,2.0,0\n")
+        prefix = tmp_path / "alpha"
+        assert main(["eval", "--scores", str(scores), "--out-prefix", str(prefix)]) == 0
+        assert (tmp_path / "alpha_auc.txt").read_text() == "1\n"
+
     def test_eval_golden_output(self, tmp_path):
         # Sorted by score the labels read 1,1,0,1,0,0 with one tie at 0.4, so
         # the ROC curve has five thresholds and the AUC is 17/18.
@@ -678,7 +701,7 @@ def _score_outcome(read, path, column):
     """(score bits, labels) or ("error", "path:line", message); the error
     type, and so eval's exit code, is EdgeCsvError either way."""
     try:
-        scores, labels = read(path, column)
+        scores, labels = read(path, column)[:2]
     except EdgeCsvError as err:
         where, _, message = str(err).partition(": ")
         return "error", where, message

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from edgeanomaly.adnd import HyperParams, TruncationLevels, fit, sample_edges
 from edgeanomaly.conformal import (
-    CalibrationScores,
     Verdicts,
     calibration_scores,
     conformal_p_values,
     detect_corpus,
     full_conformal_p_values,
     nonconformity_score,
+    score_edges,
 )
 from edgeanomaly.evaluation import ks_uniformity
 from edgeanomaly.graph_core import Edge, EdgeCorpus, NodeVocab, split_train_calib
@@ -39,7 +39,7 @@ def brute_force_p(pooled, test_value, u, orientation):
 
 
 class TestConformalPValue:
-    CALIB = CalibrationScores(np.array([1.0, 2.0, 3.0, 4.0]))
+    CALIB = np.array([1.0, 2.0, 3.0, 4.0])
 
     def test_power_corrected_example(self):
         assert p_value(2.5, self.CALIB, 0.5) == 0.5
@@ -48,7 +48,7 @@ class TestConformalPValue:
         assert p_value(10.0, self.CALIB, 0.5, "paper") == 0.9
 
     def test_all_ties_collapse_to_u(self):
-        calib = CalibrationScores(np.full(6, 7.7))
+        calib = np.full(6, 7.7)
         for u in (0.1, 0.31, 0.99):
             assert p_value(7.7, calib, u) == u
             assert p_value(7.7, calib, u, "paper") == u
@@ -92,16 +92,20 @@ class TestConformalPValue:
         with pytest.raises(ValueError):
             p_value(1.0, self.CALIB, 0.5, "sideways")
 
-    # A raw calibration array bypasses CalibrationScores. With a NaN in it the
-    # sorted search and a direct count disagreed: 0.3 against 0.1 for test
-    # score 0.5 at u = 0.5 against [0.1, 0.2, 0.3, nan]. Both forms of the
-    # calibration set, wrapped and raw, reject it.
+    # With a NaN in the calibration scores the sorted search and a direct
+    # count disagreed: 0.3 against 0.1 for test score 0.5 at u = 0.5 against
+    # [0.1, 0.2, 0.3, nan].
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_calibration_rejected_by_both_forms(self, bad):
         calib = np.array([0.1, 0.2, 0.3, bad])
         with pytest.raises(ValueError, match="calibration scores must be finite"):
-            CalibrationScores(calib)
-        with pytest.raises(ValueError, match="calibration scores must be finite"):
+            conformal_p_values([0.5], calib, [0.5])
+
+    # A 2-D calibration array failed inside numpy: "object too deep for
+    # desired array".
+    @pytest.mark.parametrize("calib", [[[1.0, 2.0], [3.0, 4.0]], [[1.0]], 2.0])
+    def test_calibration_that_is_not_a_vector_rejected(self, calib):
+        with pytest.raises(ValueError, match="calibration scores must form a vector"):
             conformal_p_values([0.5], calib, [0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -123,7 +127,7 @@ class TestConformalPValue:
 
     def test_vectorized_equals_scalar(self):
         rng = np.random.default_rng(5)
-        calib = CalibrationScores(np.round(rng.standard_normal(40), 1))
+        calib = np.round(rng.standard_normal(40), 1)
         tests = np.round(rng.standard_normal(25), 1)
         u = rng.uniform(0.01, 0.99, size=25)
         for orientation in ("power-corrected", "paper"):
@@ -450,4 +454,48 @@ class TestNonconformityScore:
         model = fit(corpus, hyper, trunc, seed=0)
         calib = calibration_scores(model, corpus)
         assert calib.size == corpus.n
-        assert np.all(np.isfinite(calib.scores))
+        assert np.all(np.isfinite(calib))
+
+    # An Edge no longer checks its endpoints; the scorer checks every one.
+    @pytest.mark.parametrize("side", ["sender", "receiver"])
+    @pytest.mark.parametrize("endpoint", ["-1", "W+1"])
+    def test_endpoint_out_of_range_rejected(self, pipeline, side, endpoint):
+        model = pipeline[0]
+        bad = -1 if endpoint == "-1" else model.num_nodes + 1
+        sender, receiver = (bad, 0) if side == "sender" else (0, bad)
+        message = rf"edge \({sender}, {receiver}\) out of range for {model.num_nodes} nodes"
+        with pytest.raises(ValueError, match=message):
+            nonconformity_score(model, Edge(sender, receiver))
+        with pytest.raises(ValueError, match=message):
+            score_edges(model, [0, sender], [0, receiver])
+
+
+class TestScoreEdges:
+    def test_matches_per_edge_scores_as_read_only_vector(self, pipeline):
+        model, _, test = pipeline
+        scores = score_edges(model, test.senders, test.receivers)
+        assert scores.dtype == np.float64 and scores.shape == (test.n,)
+        assert scores.tolist() == [nonconformity_score(model, edge) for edge in test]
+        with pytest.raises(ValueError):
+            scores[0] = 0.0
+
+    def test_calibration_scores_are_score_edges(self, pipeline):
+        model, calib, test = pipeline
+        np.testing.assert_array_equal(
+            calibration_scores(model, test), score_edges(model, test.senders, test.receivers))
+        assert not calib.flags.writeable
+
+    def test_no_edges_give_an_empty_vector(self, pipeline):
+        scores = score_edges(pipeline[0], np.empty(0, np.int64), np.empty(0, np.int64))
+        assert scores.shape == (0,) and scores.dtype == np.float64
+
+    # zip over the two columns would stop at the shorter one
+    @pytest.mark.parametrize(
+        "senders,receivers",
+        [([0, 1, 2], [0, 1]), ([0], []), ([[0, 1]], [[0, 1]]), (0, 0)],
+    )
+    def test_rejects_columns_that_are_not_equal_length_vectors(
+        self, pipeline, senders, receivers
+    ):
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            score_edges(pipeline[0], senders, receivers)
